@@ -1,7 +1,15 @@
+//! The argument grammar. Each subcommand is one row of [`COMMANDS`]: a
+//! flag table (name, value metavar, default, help line) and a builder.
+//! Parsing, defaults, the allowed-flag check and the help text are all
+//! generated from that table.
+
 use hadas::{EngineBudget, HadasConfig};
 use hadas_hw::HwTarget;
+use hadas_runtime::{GrayFaultKind, SCENARIO_NAMES};
+use hadas_serve::GovernorKind;
 use std::error::Error;
 use std::fmt;
+use Fallback::{Absent, Required, Value};
 
 /// Search budget presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -238,55 +246,488 @@ pub enum Command {
     Help,
 }
 
-fn parse_target(s: &str) -> Result<HwTarget, ParseCliError> {
-    HwTarget::parse_cli(s).ok_or_else(|| {
-        ParseCliError(format!(
-            "unknown target '{s}' (expected agx-gpu, agx-cpu, tx2-gpu, or tx2-cpu)"
-        ))
-    })
+/// How a flag's value is shown in help.
+#[derive(Clone, Copy)]
+enum Meta {
+    /// A placeholder such as `N` or `PATH`.
+    Text(&'static str),
+    /// A closed set of names, read from the crate that owns them.
+    OneOf(fn() -> Vec<&'static str>),
 }
 
-fn parse_scale(s: &str) -> Result<Scale, ParseCliError> {
+impl fmt::Display for Meta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Meta::Text(text) => f.write_str(text),
+            Meta::OneOf(names) => f.write_str(&names().join("|")),
+        }
+    }
+}
+
+/// What a flag reads as when it is absent.
+#[derive(Clone, Copy)]
+enum Fallback {
+    /// The command cannot run without it.
+    Required,
+    /// No value (the field is an `Option`, or the builder decides).
+    Absent,
+    /// This value, parsed exactly like a given one.
+    Value(&'static str),
+}
+
+/// One row of a subcommand's flag table.
+struct Flag {
+    name: &'static str,
+    meta: Meta,
+    fallback: Fallback,
+    help: &'static str,
+}
+
+const fn flag(name: &'static str, meta: Meta, fallback: Fallback, help: &'static str) -> Flag {
+    Flag { name, meta, fallback, help }
+}
+
+/// Help column where flag descriptions start.
+const HELP_COL: usize = 30;
+
+impl fmt::Display for Flag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let head = format!("--{} {}", self.name, self.meta);
+        if head.len() >= HELP_COL {
+            writeln!(f, "    {head}")?;
+            write!(f, "    {:HELP_COL$}{}", "", self.help)?;
+        } else {
+            write!(f, "    {head:HELP_COL$}{}", self.help)?;
+        }
+        match self.fallback {
+            Required => write!(f, " (required)"),
+            Absent => Ok(()),
+            Value(v) => write!(f, " (default {v})"),
+        }
+    }
+}
+
+const NUM: Meta = Meta::Text("N");
+const REAL: Meta = Meta::Text("F");
+const SEED: Meta = Meta::Text("SEED");
+const PATH: Meta = Meta::Text("PATH");
+const ON_OFF: Meta = Meta::OneOf(|| SWITCH.iter().map(|(name, _)| *name).collect());
+const SCALES: Meta = Meta::OneOf(|| SCALE_NAMES.iter().map(|(name, _)| *name).collect());
+const TARGETS: Meta = Meta::OneOf(|| HwTarget::ALL.iter().map(HwTarget::cli_name).collect());
+const GOVERNORS: Meta = Meta::OneOf(|| GovernorKind::ALL.iter().map(GovernorKind::name).collect());
+const GRAY_KINDS: Meta = Meta::OneOf(|| {
+    GrayFaultKind::CONCRETE
+        .into_iter()
+        .chain([GrayFaultKind::Mix])
+        .map(GrayFaultKind::name)
+        .collect()
+});
+const SCENARIOS: Meta = Meta::OneOf(|| ["none"].into_iter().chain(SCENARIO_NAMES).collect());
+
+const SWITCH: [(&str, bool); 2] = [("on", true), ("off", false)];
+const SCALE_NAMES: [(&str, Scale); 3] =
+    [("quick", Scale::Quick), ("mid", Scale::Mid), ("paper", Scale::Paper)];
+
+const TARGET: Flag = flag("target", TARGETS, Required, "hardware target");
+const SCALE: Flag = flag("scale", SCALES, Value("quick"), "search budget preset");
+const RUN_SEED: Flag = flag("seed", NUM, Value("7"), "seed of every random stream");
+const JSON: Flag = flag("json", PATH, Absent, "write the full result as JSON");
+
+/// One subcommand: its flag table and how a parsed table becomes a
+/// [`Command`].
+struct Spec {
+    name: &'static str,
+    about: &'static str,
+    flags: &'static [Flag],
+    build: fn(&Flags<'_>) -> Result<Command, ParseCliError>,
+}
+
+impl Spec {
+    fn flag(&self, name: &str) -> Option<&Flag> {
+        self.flags.iter().find(|f| f.name == name)
+    }
+}
+
+impl fmt::Display for Spec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "  hadas {} [FLAGS]\n    {}", self.name, self.about)?;
+        for flag in self.flags {
+            writeln!(f, "{flag}")?;
+        }
+        writeln!(f, "    {:HELP_COL$}print this help", "-h, --help")
+    }
+}
+
+static COMMANDS: [Spec; 9] = [
+    Spec {
+        name: "devices",
+        about: "list the four hardware targets and their DVFS ladders",
+        flags: &[],
+        build: |_| Ok(Command::Devices),
+    },
+    Spec {
+        name: "baselines",
+        about: "print the a0..a6 AttentiveNAS static table on one target",
+        flags: &[TARGET],
+        build: |a| Ok(Command::Baselines { target: a.get("target")? }),
+    },
+    Spec {
+        name: "search",
+        about: "run the full bi-level (OOE backbone x IOE exits/DVFS) search",
+        flags: &[
+            TARGET,
+            SCALE,
+            RUN_SEED,
+            JSON,
+            flag("checkpoint", PATH, Absent, "checkpoint the search every generation"),
+            flag("resume", PATH, Absent, "resume a checkpoint (same target/scale/seed)"),
+            flag("max-generations", NUM, Absent, "stop after N generations"),
+            flag("faults", SEED, Absent, "inject transient faults into evaluations"),
+            flag("data-chaos", SEED, Absent, "poison a fixed fraction of fitnesses (NaN)"),
+            flag("workers", NUM, Value("0"), "evaluation lanes; 0 sizes to the host"),
+            flag("chaos", SEED, Absent, "inject worker crashes and stragglers"),
+        ],
+        build: |a| {
+            Ok(Command::Search {
+                target: a.get("target")?,
+                scale: a.get("scale")?,
+                seed: a.get("seed")?,
+                json: a.opt("json")?,
+                checkpoint: a.opt("checkpoint")?,
+                resume: a.opt("resume")?,
+                max_generations: a.opt("max-generations")?,
+                faults: a.opt("faults")?,
+                data_chaos: a.opt("data-chaos")?,
+                workers: a.get("workers")?,
+                chaos: a.opt("chaos")?,
+            })
+        },
+    },
+    Spec {
+        name: "train",
+        about: "train the weight-sharing micro-supernet under the divergence guard",
+        flags: &[
+            flag("epochs", NUM, Value("4"), "training epochs"),
+            flag("batch", NUM, Value("16"), "batch size"),
+            flag("lr", REAL, Value("0.05"), "initial learning rate"),
+            RUN_SEED,
+            flag("data-chaos", SEED, Absent, "corrupt the train split before training"),
+            flag("train-checkpoint", PATH, Absent, "checkpoint training every epoch"),
+            flag("resume-train", ON_OFF, Value("off"), "resume from --train-checkpoint"),
+            flag("max-epochs", NUM, Absent, "stop after N epochs this call"),
+            JSON,
+        ],
+        build: |a| {
+            let checkpoint = a.opt("train-checkpoint")?;
+            let resume = a.get("resume-train")?;
+            if resume && checkpoint.is_none() {
+                return Err(ParseCliError(
+                    "--resume-train on requires --train-checkpoint PATH".into(),
+                ));
+            }
+            Ok(Command::Train {
+                epochs: a.get("epochs")?,
+                batch: a.get("batch")?,
+                lr: a.get("lr")?,
+                seed: a.get("seed")?,
+                data_chaos: a.opt("data-chaos")?,
+                checkpoint,
+                resume,
+                max_epochs: a.opt("max-epochs")?,
+                json: a.opt("json")?,
+            })
+        },
+    },
+    Spec {
+        name: "ioe",
+        about: "run the inner engine on one AttentiveNAS baseline",
+        flags: &[
+            TARGET,
+            flag("baseline", Meta::Text("a0..a6"), Value("a0"), "fixed backbone"),
+            SCALE,
+            RUN_SEED,
+        ],
+        build: |a| {
+            Ok(Command::Ioe {
+                target: a.get("target")?,
+                baseline: a.get_with("baseline", parse_baseline)?,
+                scale: a.get("scale")?,
+                seed: a.get("seed")?,
+            })
+        },
+    },
+    Spec {
+        name: "check",
+        about: "audit design-space feasibility invariants via hadas-lint",
+        flags: &[flag("target", TARGETS, Absent, "sweep one target (default all four)")],
+        build: |a| Ok(Command::Check { target: a.opt("target")? }),
+    },
+    Spec {
+        name: "proxy",
+        about: "fit and validate a proxy cost model",
+        flags: &[TARGET, flag("samples", NUM, Value("3000"), "measurements to fit on")],
+        build: |a| Ok(Command::Proxy { target: a.get("target")?, samples: a.get("samples")? }),
+    },
+    Spec {
+        name: "serve",
+        about: "search a mode ladder, then serve a seeded open-loop arrival stream",
+        flags: &[
+            TARGET,
+            SCALE,
+            RUN_SEED,
+            flag("rps", REAL, Value("150"), "mean offered load (requests/s)"),
+            flag("duration", REAL, Value("10"), "arrival-stream length (s)"),
+            flag("workers", NUM, Value("2"), "worker lanes in the pool"),
+            flag("batch-max", NUM, Value("8"), "maximum requests per batch"),
+            flag("slo-ms", REAL, Value("120"), "interactive-class deadline (ms)"),
+            flag("governor", GOVERNORS, Value("queue"), "DVFS governor"),
+            flag("faults", SEED, Absent, "inject substrate fault episodes"),
+            flag("chaos", SEED, Absent, "inject worker crashes and stragglers"),
+            flag("brownout", ON_OFF, Value("off"), "overload degradation ladder"),
+            flag("hedge-factor", REAL, Value("3.0"), "hedge a batch F x past its estimate"),
+            JSON,
+        ],
+        build: |a| {
+            Ok(Command::Serve {
+                target: a.get("target")?,
+                scale: a.get("scale")?,
+                seed: a.get("seed")?,
+                rps: a.get("rps")?,
+                duration_s: a.get("duration")?,
+                workers: a.get("workers")?,
+                batch_max: a.get("batch-max")?,
+                slo_ms: a.get("slo-ms")?,
+                governor: a.get("governor")?,
+                faults: a.opt("faults")?,
+                chaos: a.opt("chaos")?,
+                brownout: a.get("brownout")?,
+                hedge_factor: a.get("hedge-factor")?,
+                json: a.opt("json")?,
+            })
+        },
+    },
+    Spec {
+        name: "fleet",
+        about: "serve a heterogeneous device fleet under the global router",
+        flags: &[
+            flag("devices", Meta::Text("SPEC"), Value("mixed:8"), "agx-gpu:2,tx2-gpu:4 or mixed:N"),
+            SCALE,
+            RUN_SEED,
+            flag("users", NUM, Value("4000"), "simulated users (stream = users/rps s)"),
+            flag("rps", REAL, Value("400"), "fleet-wide mean offered load"),
+            flag("workers", NUM, Value("1"), "supervisor lanes (report is identical)"),
+            flag("slo-ms", REAL, Value("120"), "interactive-class deadline (ms)"),
+            flag("governor", GOVERNORS, Absent, "pin one governor (default: rotate)"),
+            flag("energy-weight", REAL, Value("0.02"), "router seconds per estimated joule"),
+            flag("faults", SEED, Absent, "per-device substrate fault episodes"),
+            flag("chaos", SEED, Absent, "unit crashes and stragglers, healed"),
+            flag("scenario", SCENARIOS, Value("none"), "workload drift over the run"),
+            flag("reconfigure", ON_OFF, Value("off"), "live operating-point swaps"),
+            flag("gray-faults", SEED, Absent, "inject gray telemetry failures"),
+            flag("gray-kind", GRAY_KINDS, Value("mix"), "gray-fault kind"),
+            flag("detection", ON_OFF, Value("off"), "online gray-failure detector"),
+            JSON,
+        ],
+        build: |a| {
+            Ok(Command::Fleet {
+                devices: a.get("devices")?,
+                scale: a.get("scale")?,
+                seed: a.get("seed")?,
+                users: a.get("users")?,
+                rps: a.get("rps")?,
+                workers: a.get("workers")?,
+                slo_ms: a.get("slo-ms")?,
+                governor: a.opt("governor")?,
+                energy_weight: a.get("energy-weight")?,
+                faults: a.opt("faults")?,
+                chaos: a.opt("chaos")?,
+                scenario: a.get_with("scenario", parse_scenario)?,
+                reconfigure: a.get("reconfigure")?,
+                gray_faults: a.opt("gray-faults")?,
+                gray_kind: a.get("gray-kind")?,
+                detection: a.get("detection")?,
+                json: a.opt("json")?,
+            })
+        },
+    },
+];
+
+fn parse_baseline(s: &str) -> Result<usize, String> {
+    s.strip_prefix('a')
+        .and_then(|d| d.parse::<usize>().ok())
+        .filter(|&i| i <= 6)
+        .ok_or_else(|| format!("{} (expected a0..a6)", unknown(s)))
+}
+
+/// `none` is the calm workload; anything else must be a scenario name.
+fn parse_scenario(s: &str) -> Result<Option<String>, String> {
     match s {
-        "quick" => Ok(Scale::Quick),
-        "mid" => Ok(Scale::Mid),
-        "paper" => Ok(Scale::Paper),
-        other => {
-            Err(ParseCliError(format!("unknown scale '{other}' (expected quick, mid, or paper)")))
-        }
+        "none" => Ok(None),
+        name if SCENARIO_NAMES.contains(&name) => Ok(Some(name.to_string())),
+        other => Err(unknown(other)),
     }
 }
 
-/// Reads `--flag value` pairs out of `rest`, erroring on unknown flags.
-fn take_flags<'a>(
-    rest: &'a [String],
-    allowed: &[&str],
-) -> Result<Vec<(&'a str, &'a str)>, ParseCliError> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].as_str();
-        if !flag.starts_with("--") {
-            return Err(ParseCliError(format!("expected a --flag, got '{flag}'")));
-        }
-        let name = &flag[2..];
-        if !allowed.contains(&name) {
-            return Err(ParseCliError(format!(
-                "unknown flag '--{name}' (allowed: {})",
-                allowed.iter().map(|a| format!("--{a}")).collect::<Vec<_>>().join(", ")
-            )));
-        }
-        let value = rest
-            .get(i + 1)
-            .ok_or_else(|| ParseCliError(format!("flag '--{name}' needs a value")))?;
-        out.push((name, value.as_str()));
-        i += 2;
-    }
-    Ok(out)
+fn unknown(s: &str) -> String {
+    format!("unknown value '{s}'")
 }
 
-fn flag<'a>(flags: &[(&'a str, &'a str)], name: &str) -> Option<&'a str> {
-    flags.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+/// A type a flag value parses into.
+trait FlagValue: Sized {
+    fn from_flag(s: &str) -> Result<Self, String>;
+}
+
+macro_rules! from_str_flag {
+    ($($t:ty),*) => {$(
+        impl FlagValue for $t {
+            fn from_flag(s: &str) -> Result<Self, String> {
+                s.parse().map_err(|e: <$t as std::str::FromStr>::Err| e.to_string())
+            }
+        }
+    )*};
+}
+
+from_str_flag!(u64, usize, f32, f64, String);
+
+fn lookup<T: Copy>(table: &[(&str, T)], s: &str) -> Result<T, String> {
+    table.iter().find(|(name, _)| *name == s).map(|(_, v)| *v).ok_or_else(|| unknown(s))
+}
+
+impl FlagValue for bool {
+    fn from_flag(s: &str) -> Result<Self, String> {
+        lookup(&SWITCH, s)
+    }
+}
+
+impl FlagValue for Scale {
+    fn from_flag(s: &str) -> Result<Self, String> {
+        lookup(&SCALE_NAMES, s)
+    }
+}
+
+impl FlagValue for HwTarget {
+    fn from_flag(s: &str) -> Result<Self, String> {
+        HwTarget::parse_cli(s).ok_or_else(|| unknown(s))
+    }
+}
+
+impl FlagValue for GovernorKind {
+    fn from_flag(s: &str) -> Result<Self, String> {
+        GovernorKind::parse(s).ok_or_else(|| unknown(s))
+    }
+}
+
+impl FlagValue for GrayFaultKind {
+    fn from_flag(s: &str) -> Result<Self, String> {
+        GrayFaultKind::from_name(s).map_err(|_| unknown(s))
+    }
+}
+
+impl FlagValue for Vec<HwTarget> {
+    fn from_flag(s: &str) -> Result<Self, String> {
+        hadas_fleet::parse_device_spec(s).map_err(|e| e.to_string())
+    }
+}
+
+/// One invocation's `--flag value` pairs, checked against its [`Spec`].
+struct Flags<'a> {
+    spec: &'static Spec,
+    given: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Reads `rest` against `spec`'s table; `None` when it asks for help.
+    fn read(spec: &'static Spec, rest: &'a [String]) -> Result<Option<Self>, ParseCliError> {
+        let mut given: Vec<(&str, &str)> = Vec::new();
+        let mut tokens = rest.iter().map(String::as_str);
+        while let Some(token) = tokens.next() {
+            if token == "--help" || token == "-h" {
+                return Ok(None);
+            }
+            let Some(name) = token.strip_prefix("--") else {
+                return Err(ParseCliError(format!("expected a --flag, got '{token}'")));
+            };
+            if spec.flag(name).is_none() {
+                let allowed: Vec<String> =
+                    spec.flags.iter().map(|f| format!("--{}", f.name)).collect();
+                return Err(ParseCliError(format!(
+                    "unknown flag '--{name}' for {} (allowed: {})",
+                    spec.name,
+                    allowed.join(", ")
+                )));
+            }
+            if given.iter().any(|(n, _)| *n == name) {
+                return Err(ParseCliError(format!("flag '--{name}' given more than once")));
+            }
+            let value = tokens
+                .next()
+                .ok_or_else(|| ParseCliError(format!("flag '--{name}' needs a value")))?;
+            given.push((name, value));
+        }
+        Ok(Some(Flags { spec, given }))
+    }
+
+    /// The flag's parsed value, or its fallback's; `None` if neither.
+    fn parse_with<T>(
+        &self,
+        name: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, ParseCliError> {
+        let flag = self.spec.flag(name);
+        let value = match self.given.iter().find(|(n, _)| *n == name) {
+            Some((_, v)) => Some(*v),
+            None => match flag.map(|f| f.fallback) {
+                Some(Value(v)) => Some(v),
+                _ => None,
+            },
+        };
+        value
+            .map(|v| {
+                parse(v).map_err(|e| match flag.map(|f| f.meta) {
+                    Some(meta @ Meta::OneOf(_)) => {
+                        ParseCliError(format!("bad --{name}: {e} (expected {meta})"))
+                    }
+                    _ => ParseCliError(format!("bad --{name}: {e}")),
+                })
+            })
+            .transpose()
+    }
+
+    fn get_with<T>(
+        &self,
+        name: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<T, ParseCliError> {
+        self.parse_with(name, parse)?
+            .ok_or_else(|| ParseCliError(format!("{} requires --{name}", self.spec.name)))
+    }
+
+    fn get<T: FlagValue>(&self, name: &str) -> Result<T, ParseCliError> {
+        self.get_with(name, T::from_flag)
+    }
+
+    fn opt<T: FlagValue>(&self, name: &str) -> Result<Option<T>, ParseCliError> {
+        self.parse_with(name, T::from_flag)
+    }
+}
+
+fn command_spec(name: &str) -> Option<&'static Spec> {
+    COMMANDS.iter().find(|spec| spec.name == name)
+}
+
+/// The generated usage text: one subcommand's when `command` names one,
+/// otherwise every subcommand's.
+pub fn usage(command: Option<&str>) -> String {
+    if let Some(spec) = command.and_then(command_spec) {
+        return format!("USAGE:\n{spec}");
+    }
+    let commands: Vec<String> = COMMANDS.iter().map(Spec::to_string).collect();
+    format!(
+        "hadas — hardware-aware dynamic NAS (DATE 2023 reproduction)\n\n\
+         USAGE: hadas <command> [--flag value]...  (hadas <command> --help for one)\n\n\
+         COMMANDS:\n{}",
+        commands.join("\n")
+    )
 }
 
 impl Command {
@@ -300,473 +741,16 @@ impl Command {
         let Some(sub) = args.first() else {
             return Ok(Command::Help);
         };
-        let rest = &args[1..];
-        match sub.as_str() {
-            "help" | "--help" | "-h" => Ok(Command::Help),
-            "devices" => {
-                take_flags(rest, &[])?;
-                Ok(Command::Devices)
-            }
-            "baselines" => {
-                let flags = take_flags(rest, &["target"])?;
-                let target = parse_target(
-                    flag(&flags, "target")
-                        .ok_or_else(|| ParseCliError("baselines requires --target".into()))?,
-                )?;
-                Ok(Command::Baselines { target })
-            }
-            "search" => {
-                let flags = take_flags(
-                    rest,
-                    &[
-                        "target",
-                        "scale",
-                        "seed",
-                        "json",
-                        "checkpoint",
-                        "resume",
-                        "max-generations",
-                        "faults",
-                        "data-chaos",
-                        "workers",
-                        "chaos",
-                    ],
-                )?;
-                let target = parse_target(
-                    flag(&flags, "target")
-                        .ok_or_else(|| ParseCliError("search requires --target".into()))?,
-                )?;
-                let scale =
-                    flag(&flags, "scale").map(parse_scale).transpose()?.unwrap_or_default();
-                let seed = flag(&flags, "seed")
-                    .map(|s| s.parse::<u64>().map_err(|e| ParseCliError(format!("bad seed: {e}"))))
-                    .transpose()?
-                    .unwrap_or(7);
-                let max_generations = flag(&flags, "max-generations")
-                    .map(|s| {
-                        s.parse::<usize>()
-                            .map_err(|e| ParseCliError(format!("bad max-generations: {e}")))
-                    })
-                    .transpose()?;
-                let faults = flag(&flags, "faults")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad fault seed: {e}")))
-                    })
-                    .transpose()?;
-                let data_chaos = flag(&flags, "data-chaos")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad data-chaos seed: {e}")))
-                    })
-                    .transpose()?;
-                let workers = flag(&flags, "workers")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad workers: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(0);
-                let chaos = flag(&flags, "chaos")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad chaos seed: {e}")))
-                    })
-                    .transpose()?;
-                Ok(Command::Search {
-                    target,
-                    scale,
-                    seed,
-                    json: flag(&flags, "json").map(str::to_string),
-                    checkpoint: flag(&flags, "checkpoint").map(str::to_string),
-                    resume: flag(&flags, "resume").map(str::to_string),
-                    max_generations,
-                    faults,
-                    data_chaos,
-                    workers,
-                    chaos,
-                })
-            }
-            "train" => {
-                let flags = take_flags(
-                    rest,
-                    &[
-                        "epochs",
-                        "batch",
-                        "lr",
-                        "seed",
-                        "data-chaos",
-                        "train-checkpoint",
-                        "resume-train",
-                        "max-epochs",
-                        "json",
-                    ],
-                )?;
-                let epochs = flag(&flags, "epochs")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad epochs: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(4);
-                let batch = flag(&flags, "batch")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad batch: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(16);
-                let lr = flag(&flags, "lr")
-                    .map(|s| s.parse::<f32>().map_err(|e| ParseCliError(format!("bad lr: {e}"))))
-                    .transpose()?
-                    .unwrap_or(0.05);
-                let seed = flag(&flags, "seed")
-                    .map(|s| s.parse::<u64>().map_err(|e| ParseCliError(format!("bad seed: {e}"))))
-                    .transpose()?
-                    .unwrap_or(7);
-                let data_chaos = flag(&flags, "data-chaos")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad data-chaos seed: {e}")))
-                    })
-                    .transpose()?;
-                let max_epochs = flag(&flags, "max-epochs")
-                    .map(|s| {
-                        s.parse::<usize>()
-                            .map_err(|e| ParseCliError(format!("bad max-epochs: {e}")))
-                    })
-                    .transpose()?;
-                let resume = flag(&flags, "resume-train")
-                    .map(|s| match s {
-                        "on" => Ok(true),
-                        "off" => Ok(false),
-                        other => Err(ParseCliError(format!(
-                            "bad resume-train '{other}' (expected on or off)"
-                        ))),
-                    })
-                    .transpose()?
-                    .unwrap_or(false);
-                let checkpoint = flag(&flags, "train-checkpoint").map(str::to_string);
-                if resume && checkpoint.is_none() {
-                    return Err(ParseCliError(
-                        "--resume-train on requires --train-checkpoint PATH".into(),
-                    ));
-                }
-                Ok(Command::Train {
-                    epochs,
-                    batch,
-                    lr,
-                    seed,
-                    data_chaos,
-                    checkpoint,
-                    resume,
-                    max_epochs,
-                    json: flag(&flags, "json").map(str::to_string),
-                })
-            }
-            "ioe" => {
-                let flags = take_flags(rest, &["target", "baseline", "scale", "seed"])?;
-                let target = parse_target(
-                    flag(&flags, "target")
-                        .ok_or_else(|| ParseCliError("ioe requires --target".into()))?,
-                )?;
-                let baseline_str = flag(&flags, "baseline").unwrap_or("a0");
-                let baseline = baseline_str
-                    .strip_prefix('a')
-                    .and_then(|d| d.parse::<usize>().ok())
-                    .filter(|&i| i <= 6)
-                    .ok_or_else(|| {
-                        ParseCliError(format!("bad baseline '{baseline_str}' (expected a0..a6)"))
-                    })?;
-                let scale =
-                    flag(&flags, "scale").map(parse_scale).transpose()?.unwrap_or_default();
-                let seed = flag(&flags, "seed")
-                    .map(|s| s.parse::<u64>().map_err(|e| ParseCliError(format!("bad seed: {e}"))))
-                    .transpose()?
-                    .unwrap_or(7);
-                Ok(Command::Ioe { target, baseline, scale, seed })
-            }
-            "check" => {
-                let flags = take_flags(rest, &["target"])?;
-                let target = flag(&flags, "target").map(parse_target).transpose()?;
-                Ok(Command::Check { target })
-            }
-            "proxy" => {
-                let flags = take_flags(rest, &["target", "samples"])?;
-                let target = parse_target(
-                    flag(&flags, "target")
-                        .ok_or_else(|| ParseCliError("proxy requires --target".into()))?,
-                )?;
-                let samples = flag(&flags, "samples")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad samples: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(3_000);
-                Ok(Command::Proxy { target, samples })
-            }
-            "serve" => {
-                let flags = take_flags(
-                    rest,
-                    &[
-                        "target",
-                        "scale",
-                        "seed",
-                        "rps",
-                        "duration",
-                        "workers",
-                        "batch-max",
-                        "slo-ms",
-                        "governor",
-                        "faults",
-                        "chaos",
-                        "brownout",
-                        "hedge-factor",
-                        "json",
-                    ],
-                )?;
-                let target = parse_target(
-                    flag(&flags, "target")
-                        .ok_or_else(|| ParseCliError("serve requires --target".into()))?,
-                )?;
-                let scale =
-                    flag(&flags, "scale").map(parse_scale).transpose()?.unwrap_or_default();
-                let seed = flag(&flags, "seed")
-                    .map(|s| s.parse::<u64>().map_err(|e| ParseCliError(format!("bad seed: {e}"))))
-                    .transpose()?
-                    .unwrap_or(7);
-                let rps = flag(&flags, "rps")
-                    .map(|s| s.parse::<f64>().map_err(|e| ParseCliError(format!("bad rps: {e}"))))
-                    .transpose()?
-                    .unwrap_or(150.0);
-                let duration_s = flag(&flags, "duration")
-                    .map(|s| {
-                        s.parse::<f64>().map_err(|e| ParseCliError(format!("bad duration: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(10.0);
-                let workers = flag(&flags, "workers")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad workers: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(2);
-                let batch_max = flag(&flags, "batch-max")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad batch-max: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(8);
-                let slo_ms = flag(&flags, "slo-ms")
-                    .map(|s| {
-                        s.parse::<f64>().map_err(|e| ParseCliError(format!("bad slo-ms: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(120.0);
-                let governor = flag(&flags, "governor")
-                    .map(|s| {
-                        hadas_serve::GovernorKind::parse(s).ok_or_else(|| {
-                            ParseCliError(format!(
-                                "unknown governor '{s}' (expected static, latency, or queue)"
-                            ))
-                        })
-                    })
-                    .transpose()?
-                    .unwrap_or(hadas_serve::GovernorKind::Queue);
-                let faults = flag(&flags, "faults")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad fault seed: {e}")))
-                    })
-                    .transpose()?;
-                let chaos = flag(&flags, "chaos")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad chaos seed: {e}")))
-                    })
-                    .transpose()?;
-                let brownout = flag(&flags, "brownout")
-                    .map(|s| match s {
-                        "on" => Ok(true),
-                        "off" => Ok(false),
-                        other => Err(ParseCliError(format!(
-                            "bad brownout '{other}' (expected on or off)"
-                        ))),
-                    })
-                    .transpose()?
-                    .unwrap_or(false);
-                let hedge_factor = flag(&flags, "hedge-factor")
-                    .map(|s| {
-                        s.parse::<f64>()
-                            .map_err(|e| ParseCliError(format!("bad hedge-factor: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(3.0);
-                Ok(Command::Serve {
-                    target,
-                    scale,
-                    seed,
-                    rps,
-                    duration_s,
-                    workers,
-                    batch_max,
-                    slo_ms,
-                    governor,
-                    faults,
-                    chaos,
-                    brownout,
-                    hedge_factor,
-                    json: flag(&flags, "json").map(str::to_string),
-                })
-            }
-            "fleet" => {
-                let flags = take_flags(
-                    rest,
-                    &[
-                        "devices",
-                        "scale",
-                        "seed",
-                        "users",
-                        "rps",
-                        "workers",
-                        "slo-ms",
-                        "governor",
-                        "energy-weight",
-                        "faults",
-                        "chaos",
-                        "scenario",
-                        "reconfigure",
-                        "gray-faults",
-                        "gray-kind",
-                        "detection",
-                        "json",
-                    ],
-                )?;
-                let devices = hadas_fleet::parse_device_spec(
-                    flag(&flags, "devices").unwrap_or("mixed:8"),
-                )
-                .map_err(|e| ParseCliError(format!("bad devices spec: {e}")))?;
-                let scale =
-                    flag(&flags, "scale").map(parse_scale).transpose()?.unwrap_or_default();
-                let seed = flag(&flags, "seed")
-                    .map(|s| s.parse::<u64>().map_err(|e| ParseCliError(format!("bad seed: {e}"))))
-                    .transpose()?
-                    .unwrap_or(7);
-                let users = flag(&flags, "users")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad users: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(4_000);
-                let rps = flag(&flags, "rps")
-                    .map(|s| s.parse::<f64>().map_err(|e| ParseCliError(format!("bad rps: {e}"))))
-                    .transpose()?
-                    .unwrap_or(400.0);
-                let workers = flag(&flags, "workers")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad workers: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(1);
-                let slo_ms = flag(&flags, "slo-ms")
-                    .map(|s| {
-                        s.parse::<f64>().map_err(|e| ParseCliError(format!("bad slo-ms: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(120.0);
-                let governor = flag(&flags, "governor")
-                    .map(|s| {
-                        hadas_serve::GovernorKind::parse(s).ok_or_else(|| {
-                            ParseCliError(format!(
-                                "unknown governor '{s}' (expected static, latency, or queue)"
-                            ))
-                        })
-                    })
-                    .transpose()?;
-                let energy_weight = flag(&flags, "energy-weight")
-                    .map(|s| {
-                        s.parse::<f64>()
-                            .map_err(|e| ParseCliError(format!("bad energy-weight: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(0.02);
-                let faults = flag(&flags, "faults")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad fault seed: {e}")))
-                    })
-                    .transpose()?;
-                let chaos = flag(&flags, "chaos")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad chaos seed: {e}")))
-                    })
-                    .transpose()?;
-                let scenario = match flag(&flags, "scenario") {
-                    None | Some("none") => None,
-                    Some(name) if hadas_runtime::SCENARIO_NAMES.contains(&name) => {
-                        Some(name.to_string())
-                    }
-                    Some(other) => {
-                        return Err(ParseCliError(format!(
-                            "unknown scenario '{other}' (expected none, {})",
-                            hadas_runtime::SCENARIO_NAMES.join(", ")
-                        )));
-                    }
-                };
-                let reconfigure = flag(&flags, "reconfigure")
-                    .map(|s| match s {
-                        "on" => Ok(true),
-                        "off" => Ok(false),
-                        other => Err(ParseCliError(format!(
-                            "bad reconfigure '{other}' (expected on or off)"
-                        ))),
-                    })
-                    .transpose()?
-                    .unwrap_or(false);
-                let gray_faults = flag(&flags, "gray-faults")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad gray-faults seed: {e}")))
-                    })
-                    .transpose()?;
-                let gray_kind = flag(&flags, "gray-kind")
-                    .map(|s| {
-                        hadas_runtime::GrayFaultKind::from_name(s)
-                            .map_err(|e| ParseCliError(format!("bad gray-kind: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(hadas_runtime::GrayFaultKind::Mix);
-                let detection = flag(&flags, "detection")
-                    .map(|s| match s {
-                        "on" => Ok(true),
-                        "off" => Ok(false),
-                        other => Err(ParseCliError(format!(
-                            "bad detection '{other}' (expected on or off)"
-                        ))),
-                    })
-                    .transpose()?
-                    .unwrap_or(false);
-                Ok(Command::Fleet {
-                    devices,
-                    scale,
-                    seed,
-                    users,
-                    rps,
-                    workers,
-                    slo_ms,
-                    governor,
-                    energy_weight,
-                    faults,
-                    chaos,
-                    scenario,
-                    reconfigure,
-                    gray_faults,
-                    gray_kind,
-                    detection,
-                    json: flag(&flags, "json").map(str::to_string),
-                })
-            }
-            other => Err(ParseCliError(format!(
-                "unknown command '{other}' (try: devices, baselines, search, train, ioe, check, proxy, serve, fleet, help)"
-            ))),
+        if matches!(sub.as_str(), "help" | "--help" | "-h") {
+            return Ok(Command::Help);
+        }
+        let spec = command_spec(sub).ok_or_else(|| {
+            let names: Vec<&str> = COMMANDS.iter().map(|spec| spec.name).collect();
+            ParseCliError(format!("unknown command '{sub}' (try: {}, help)", names.join(", ")))
+        })?;
+        match Flags::read(spec, &args[1..])? {
+            Some(flags) => (spec.build)(&flags),
+            None => Ok(Command::Help),
         }
     }
 }
@@ -1112,6 +1096,23 @@ mod tests {
         assert!(Command::parse(&argv("search --target tx2-gpu --bogus 1")).is_err());
         assert!(Command::parse(&argv("frobnicate")).is_err());
         assert!(Command::parse(&argv("search --target warp-drive")).is_err());
+        let repeated = Command::parse(&argv("ioe --target tx2-gpu --seed 1 --seed 2")).unwrap_err();
+        assert!(repeated.0.contains("--seed"), "{repeated}");
+    }
+
+    #[test]
+    fn subcommand_help_prints_only_that_subcommand() {
+        for (line, sub, other) in
+            [("search --help", "search", "--gray-kind"), ("fleet -h", "fleet", "--max-generations")]
+        {
+            assert_eq!(Command::parse(&argv(line)).unwrap(), Command::Help);
+            let text = usage(Some(sub));
+            assert!(text.contains(&format!("hadas {sub}")), "{text}");
+            assert!(!text.contains(other), "{text}");
+        }
+        assert!(usage(Some("fleet")).contains("--detection on|off"));
+        assert!(usage(Some("search")).contains("--target agx-gpu|agx-cpu|tx2-gpu|tx2-cpu"));
+        assert_eq!(usage(Some("help")), usage(None));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and writes a human-readable report to the provided writer (stdout in
 //! `main`, a buffer in tests).
 
-use crate::Command;
+use crate::{usage, Command};
 use hadas::{DeploymentPicker, Hadas, SearchCheckpoint, SearchOptions};
 use hadas_dataset::{CorruptionConfig, DatasetConfig, SyntheticDataset};
 use hadas_hw::{DeviceModel, HwTarget, ProxyCostModel};
@@ -16,110 +16,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const USAGE: &str = "\
-hadas — hardware-aware dynamic NAS (DATE 2023 reproduction)
-
-USAGE:
-  hadas devices
-  hadas baselines --target <t>
-  hadas search    --target <t> [--scale quick|mid|paper] [--seed N] [--json PATH]
-                  [--checkpoint PATH] [--resume PATH] [--max-generations N]
-                  [--faults SEED] [--data-chaos SEED] [--workers N]
-                  [--chaos SEED]
-  hadas train     [--epochs N] [--batch N] [--lr F] [--seed N]
-                  [--data-chaos SEED] [--train-checkpoint PATH]
-                  [--resume-train on|off] [--max-epochs N] [--json PATH]
-  hadas ioe       --target <t> [--baseline a0..a6] [--scale ...] [--seed N]
-  hadas check     [--target <t>]
-  hadas proxy     --target <t> [--samples N]
-  hadas serve     --target <t> [--scale ...] [--seed N] [--rps R] [--duration S]
-                  [--workers N] [--batch-max N] [--slo-ms MS]
-                  [--governor static|latency|queue] [--faults SEED]
-                  [--chaos SEED] [--brownout on|off] [--hedge-factor K]
-                  [--json PATH]
-  hadas fleet     [--devices SPEC] [--scale ...] [--seed N] [--users N]
-                  [--rps R] [--workers N] [--slo-ms MS]
-                  [--governor static|latency|queue] [--energy-weight W]
-                  [--faults SEED] [--chaos SEED] [--scenario NAME]
-                  [--reconfigure on|off] [--json PATH]
-
-TARGETS: agx-gpu, agx-cpu, tx2-gpu, tx2-cpu
-
-ROBUSTNESS:
-  --checkpoint PATH      serialize search state there at every generation
-  --resume PATH          restore a checkpointed run (same target/scale/seed)
-  --max-generations N    stop after N generations with a partial front
-  --faults SEED          inject seeded transient faults into evaluations
-  --data-chaos SEED      (search) poison a fixed fraction of fitness
-                         measurements with NaN; the engines quarantine them
-                         to the finite worst-case penalty and report the
-                         count, leaving the rest of the front untouched
-  --workers N            (search) worker lanes for the supervised parallel
-                         evaluation phases; the front is byte-identical at
-                         any count (0 = auto-size to the host)
-  --chaos SEED           (search) inject execution-plane chaos — worker
-                         crashes, dispatch failures, stragglers — into the
-                         supervised executor; lanes respawn and lost evals
-                         re-dispatch, healing to the fault-free front
-
-TRAINING:
-  `train` runs the divergence-guarded weight-sharing supernet trainer:
-  per-sample validation quarantines poisoned inputs, numeric sentinels
-  catch NaN losses/gradients, and epoch boundaries snapshot resumable
-  state. A run killed at epoch k (--max-epochs k) and resumed
-  (--resume-train on) is byte-identical to an uninterrupted run.
-  --data-chaos SEED      (train) corrupt the train split with the seeded
-                         injector (label flips, NaN/extreme pixels,
-                         truncated reads) before training
-  --train-checkpoint P   write a resumable checkpoint at every epoch
-  --resume-train on|off  restore from --train-checkpoint if it exists
-  --max-epochs N         stop after N epochs with a partial report
-
-SERVING:
-  `serve` searches a mode ladder, then replays a seeded open-loop
-  arrival stream through the multi-worker serving engine; the same
-  seed and config always produce a byte-identical report.
-  --chaos SEED           inject worker crashes, stragglers, and transient
-                         batch failures; the supervised pool heals them
-                         and the report stays byte-identical to fault-free
-  --brownout on|off      enable the overload degradation ladder (shed bulk
-                         -> force early exits -> reject admissions)
-  --hedge-factor K       hedge a straggling batch once it exceeds K times
-                         its service estimate (default 3.0)
-
-FLEET:
-  `fleet` searches one mode ladder per distinct hardware target, then
-  serves a fleet-wide arrival stream across N device units under a
-  global latency/energy-aware router and the unit supervisor; the
-  report is byte-identical at any --workers count, and under --chaos
-  whenever zero units dead-letter.
-  --devices SPEC         device mix: `agx-gpu:2,tx2-gpu:4` counts per
-                         target, or `mixed:N` round-robin over all four
-                         profiles (default mixed:8)
-  --users N              simulated users; the stream runs users/rps
-                         seconds (default 4000)
-  --energy-weight W      router score = est. finish time + W x est.
-                         joules (default 0.02; 0 routes on latency)
-  --faults SEED          per-device substrate fault episodes (thermal
-                         throttle, voltage sag), device d seeded SEED+d;
-                         with --reconfigure on the stream also draws
-                         swap failures, exercising snapshot rollback
-  --chaos SEED           unit-level chaos: whole device units crash and
-                         straggle; the supervisor respawns them and
-                         re-dispatches their substreams
-  --scenario NAME        replayable long-horizon workload drift over the
-                         run: calm, diurnal, thermal-season,
-                         battery-decay, demand-shift, or composite
-                         (seeded by --seed; none = no drift)
-  --reconfigure on|off   live operating-point reconfiguration: a
-                         hysteresis controller watches per-device epoch
-                         pressure (SLO misses, thermal caps, battery
-                         state-of-charge) and slides each device's mode
-                         window along its searched Pareto front through
-                         zero-drop validated snapshot swaps; substrate
-                         swap failures roll back onto the old window
-";
-
 /// Executes a parsed command, writing the report to `out`.
 ///
 /// # Errors
@@ -129,7 +25,7 @@ FLEET:
 pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     match cmd {
         Command::Help => {
-            write!(out, "{USAGE}")?;
+            write!(out, "{}", usage(None))?;
         }
         Command::Devices => {
             writeln!(

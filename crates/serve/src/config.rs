@@ -22,14 +22,13 @@ pub enum GovernorKind {
 }
 
 impl GovernorKind {
+    /// Every governor, in the order the CLI lists them.
+    pub const ALL: [GovernorKind; 3] =
+        [GovernorKind::Static, GovernorKind::Latency, GovernorKind::Queue];
+
     /// Parses a CLI spelling (`static` | `latency` | `queue`).
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "static" => Some(GovernorKind::Static),
-            "latency" => Some(GovernorKind::Latency),
-            "queue" => Some(GovernorKind::Queue),
-            _ => None,
-        }
+        GovernorKind::ALL.into_iter().find(|g| g.name() == s)
     }
 
     /// The canonical CLI spelling.
