@@ -1,7 +1,7 @@
 //! Live-reconfiguration study: the same drifting workload served twice
 //! per scenario — once by the pinned-mode fleet, once with the
 //! reconfiguration controller sliding per-device operating windows
-//! along the searched Pareto fronts through zero-drop snapshot swaps.
+//! along the searched Pareto fronts through zero-drop swaps.
 //! Shows reconfiguration beating the pinned fleet on interactive SLO
 //! violations (and energy) under drift, and re-checks the swap-plane
 //! contracts at bench scale: `dropped_by_swap == 0` everywhere, the

@@ -17,7 +17,7 @@
 //! (see [`crate::ReconfigConfig`]): each epoch routes its stream slice
 //! under refreshed estimates, serves every device one segment forward,
 //! and the controller slides per-device mode windows along the full
-//! Pareto front via zero-drop snapshot swaps — the same two-pass
+//! Pareto front via zero-drop swaps — the same two-pass
 //! structure applied per epoch, so every byte-identity contract above
 //! carries over, and a mid-swap unit crash heals exactly like any other
 //! unit crash.
@@ -38,8 +38,8 @@ use hadas_runtime::{
     modes_from_pareto, FaultConfig, FaultInjector, GrayFaultConfig, Histogram, OperatingMode,
 };
 use hadas_serve::{
-    generate_requests, BrownoutConfig, EngineSnapshot, Request, ResilienceTelemetry, ServeConfig,
-    ServeEngine, ServeTrace, SessionState, SloSummary,
+    generate_requests, BrownoutConfig, Request, ResilienceTelemetry, ServeConfig, ServeEngine,
+    ServeTrace, SessionState, SloSummary,
 };
 
 /// One searched deployment plane: the HADAS engine, the pinned top-3
@@ -449,21 +449,11 @@ impl<'a> FleetEngine<'a> {
             min_thermal_cap: f64,
         }
         let mut marks = vec![Mark::default(); n];
-        let mut summary = if self.config.reconfigure {
-            ReconfigSummary {
-                enabled: true,
-                scenario: self.config.scenario_name().to_string(),
-                epochs,
-                swaps: 0,
-                swap_rollbacks: 0,
-                dropped_by_swap: 0,
-                escalations: 0,
-                deescalations: 0,
-                final_anchors: Vec::new(),
-            }
-        } else {
-            ReconfigSummary::disabled(self.config.scenario_name())
-        };
+        let mut summary = ReconfigSummary::disabled(self.config.scenario_name());
+        if self.config.reconfigure {
+            summary.enabled = true;
+            summary.epochs = epochs;
+        }
         let mut telemetry = ResilienceTelemetry::default();
 
         // Detection state: one machine and one routing lane per device,
@@ -675,8 +665,8 @@ impl<'a> FleetEngine<'a> {
                 lanes.iter().filter(|&&l| l == LaneState::Closed).count() as f64 / n as f64;
 
             // Reconfiguration controller: read each device's pressure
-            // (quarantined capacity included), decide, and execute
-            // swaps through the validated snapshot seam.
+            // (quarantined capacity included), decide, and move the
+            // anchors of the devices that swap.
             if !self.config.reconfigure {
                 continue;
             }
@@ -706,15 +696,10 @@ impl<'a> FleetEngine<'a> {
                     AnchorDecision::Deescalate => anchors[d] - 1,
                 };
 
-                // Zero-drop swap: drain-to-barrier already happened
-                // (the segment ended), so snapshot, validate, restore.
-                // A substrate swap-failure draw rolls the device back
-                // onto the old window from the same snapshot.
-                let queued_before = st.queue_len();
-                let snapshot = EngineSnapshot::capture(st.clone())?;
-                let restored = snapshot.into_state()?;
-                summary.dropped_by_swap += queued_before.saturating_sub(restored.queue_len());
-                *st = restored;
+                // Zero-drop swap: the segment ended at a barrier, so the
+                // session state (queued requests included) carries over
+                // untouched and only the window anchor moves. A substrate
+                // swap-failure draw leaves the device on its old window.
                 let failed =
                     swap_faults.as_ref().is_some_and(|f| f.swap_failure_at((e * n + d) as u64));
                 if failed {
@@ -920,6 +905,7 @@ impl<'a> FleetEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FLEET_REPORT_SCHEMA;
     use hadas_runtime::{FaultConfig, Scenario};
 
     fn planes() -> Vec<DevicePlane> {
@@ -1136,7 +1122,17 @@ mod tests {
         assert_eq!(restored.served, run.report.served);
         assert_ne!(restored.fingerprint, 0);
         let tampered = json.replace("\"devices\": 4", "\"devices\": 5");
-        assert!(FleetReport::from_json(&tampered).is_err(), "tampering must be refused");
+        let err = FleetReport::from_json(&tampered).expect_err("tampering must be refused");
+        assert!(err.to_string().contains("fingerprint"), "{err}");
+
+        let stale = json.replace(
+            &format!("\"schema\": {FLEET_REPORT_SCHEMA}"),
+            &format!("\"schema\": {}", FLEET_REPORT_SCHEMA + 1),
+        );
+        let err = FleetReport::from_json(&stale).expect_err("stale schemas must be refused");
+        assert!(err.to_string().contains("schema"), "{err}");
+
+        assert!(FleetReport::from_json("not json").is_err());
     }
 
     #[test]

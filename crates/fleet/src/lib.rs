@@ -30,9 +30,9 @@
 //!   per-device epoch pressure (SLO violations, thermal caps, battery
 //!   state-of-charge under the drift [`hadas_runtime::Scenario`]) and
 //!   slides each device's operating window along the full searched
-//!   Pareto front via zero-drop snapshot swaps
-//!   ([`hadas_serve::EngineSnapshot`]); substrate swap failures roll
-//!   back onto the old window from the same snapshot.
+//!   Pareto front via zero-drop swaps at epoch barriers (the session
+//!   state carries over, only the window moves); a substrate swap
+//!   failure leaves the device on its old window.
 //!
 //! Determinism contract: the serialized [`FleetReport`] is
 //! byte-identical across fleet worker counts and byte-identical to the

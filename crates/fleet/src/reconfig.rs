@@ -18,14 +18,14 @@
 //!            `hysteresis_epochs` calm epochs                  sustained calm)
 //! ```
 //!
-//! A window move is executed as a zero-drop swap: the session state is
-//! exported at the epoch barrier, round-tripped through a validated
-//! `EngineSnapshot`, and resumed under the new window's engine — queued
-//! requests ride the snapshot, so `dropped_by_swap` is structurally
-//! zero and the fleet's request-conservation identity is untouched. A
-//! swap-failure draw from the substrate fault stream rolls the device
-//! back onto its old window from the same snapshot
-//! ([`ReconfigSummary::swap_rollbacks`]).
+//! A window move is executed as a zero-drop swap at the epoch barrier:
+//! the device's session state, queued requests included, carries over
+//! untouched and the next segment resumes it under the new window's
+//! engine. Only the anchor moves, and the swap charges one mode switch
+//! and its switch energy, so no request can be lost and the fleet's
+//! request-conservation identity is untouched. A swap-failure draw from
+//! the substrate fault stream aborts the move and leaves the device on
+//! its old window ([`ReconfigSummary::swap_rollbacks`]).
 //!
 //! Every decision input is a scheduling-plane quantity folded in device
 //! order, so reconfigured reports stay byte-identical across fleet
@@ -189,11 +189,12 @@ pub struct ReconfigSummary {
     pub epochs: usize,
     /// Operating-point swaps executed.
     pub swaps: usize,
-    /// Swaps aborted by a substrate swap-failure draw and rolled back
-    /// onto the old window from the same snapshot.
+    /// Swaps aborted by a substrate swap-failure draw; the device stays
+    /// on its old window.
     pub swap_rollbacks: usize,
-    /// Requests lost across swap barriers — structurally zero; the
-    /// zero-drop invariant the chaos tests pin.
+    /// Requests lost across swap barriers. Zero by construction: a swap
+    /// carries the session state over untouched. Kept so the report
+    /// schema (and every pinned report fingerprint) stays stable.
     pub dropped_by_swap: usize,
     /// Anchor steps taken toward the frugal end.
     pub escalations: usize,

@@ -3,7 +3,7 @@
 use crate::{DetectionSummary, DeviceHealthReport, DeviceSummary, ReconfigSummary, RouterSummary};
 use hadas::HadasError;
 use hadas_runtime::LatencySummary;
-use hadas_serve::{accounting_balances, fingerprint64, zero_fingerprint_field, SloSummary};
+use hadas_serve::{accounting_balances, stamp_report, verify_report, SealedReport, SloSummary};
 use serde::{Deserialize, Serialize};
 
 /// Schema tag stamped into every serialized [`FleetReport`]. Bump on
@@ -102,52 +102,27 @@ pub struct FleetReport {
     pub unhealthy_devices: usize,
 }
 
+impl SealedReport for FleetReport {
+    const SCHEMA: u32 = FLEET_REPORT_SCHEMA;
+    const KIND: &'static str = "fleet report";
+
+    fn seal_fields(&mut self) -> (&mut u32, &mut u64) {
+        (&mut self.schema, &mut self.fingerprint)
+    }
+}
+
 impl FleetReport {
-    /// Serialises the report as pretty JSON — the byte-identical
-    /// artifact the fleet determinism contract is stated over.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialisation failures (none for this struct in
-    /// practice).
+    /// Serialises the report as sealed pretty JSON ([`stamp_report`]) —
+    /// the byte-identical artifact the determinism contract is stated
+    /// over.
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        let mut stamped = self.clone();
-        stamped.schema = FLEET_REPORT_SCHEMA;
-        stamped.fingerprint = 0;
-        let zeroed = serde_json::to_string_pretty(&stamped)?;
-        stamped.fingerprint = fingerprint64(zeroed.as_bytes());
-        serde_json::to_string_pretty(&stamped)
+        stamp_report(self)
     }
 
-    /// Parses a serialized fleet report, refusing stale schemas and
-    /// content whose fingerprint does not match the bytes — the same
-    /// gated restore contract as `SearchCheckpoint`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HadasError::Checkpoint`] for unparsable JSON, a schema
-    /// other than [`FLEET_REPORT_SCHEMA`], or a fingerprint mismatch
-    /// (tampered or truncated content).
+    /// Parses a sealed fleet report, refusing a stale schema or a
+    /// fingerprint mismatch ([`verify_report`]).
     pub fn from_json(json: &str) -> Result<Self, HadasError> {
-        let report: FleetReport = serde_json::from_str(json)
-            .map_err(|e| HadasError::Checkpoint(format!("parse fleet report: {e}")))?;
-        if report.schema != FLEET_REPORT_SCHEMA {
-            return Err(HadasError::Checkpoint(format!(
-                "fleet report schema {} unsupported (expected {FLEET_REPORT_SCHEMA})",
-                report.schema
-            )));
-        }
-        let zeroed = zero_fingerprint_field(json).ok_or_else(|| {
-            HadasError::Checkpoint("fleet report carries no fingerprint field".to_string())
-        })?;
-        let expected = fingerprint64(zeroed.as_bytes());
-        if report.fingerprint != expected {
-            return Err(HadasError::Checkpoint(format!(
-                "fleet report fingerprint {:#018x} does not match its content ({expected:#018x})",
-                report.fingerprint
-            )));
-        }
-        Ok(report)
+        verify_report(json)
     }
 
     /// Whether the fleet-level request-conservation identity holds: the

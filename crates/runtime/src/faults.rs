@@ -90,7 +90,7 @@ pub struct FaultConfig {
     /// Probability that one operating-point swap attempt fails and rolls
     /// back to the old point (`[0, 1)`). Drawn from an independent salt
     /// so enabling swap failures never perturbs any other fault stream;
-    /// a rollback re-applies the pre-swap snapshot, so it reshapes the
+    /// a rollback keeps the device on its old point, so it reshapes the
     /// schedule (substrate-plane, like thermal episodes) rather than the
     /// execution plane.
     pub swap_fail_rate: f64,

@@ -64,8 +64,8 @@ impl ScenarioKind {
 
 /// One seeded drift scenario over a `[0, horizon_s)` timeline. All
 /// waveform parameters are fixed at construction (pure in the seed);
-/// every query is pure in `t`. Serializes losslessly, so a snapshot
-/// carrying a scenario replays the identical drift.
+/// every query is pure in `t`. Serializes losslessly: a deserialized
+/// scenario replays the identical drift.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     kind: ScenarioKind,

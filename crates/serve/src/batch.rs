@@ -32,13 +32,13 @@ impl Batcher {
         self.batch_max
     }
 
-    /// Copies both class queues in FIFO order — the batcher half of a
-    /// swap snapshot (see `SessionState`).
+    /// Copies both class queues in FIFO order — the batcher half of an
+    /// exported `SessionState`.
     pub fn queues(&self) -> (Vec<Request>, Vec<Request>) {
         (self.interactive.iter().copied().collect(), self.bulk.iter().copied().collect())
     }
 
-    /// Rebuilds a batcher from snapshotted queues (each in FIFO order) —
+    /// Rebuilds a batcher from exported queues (each in FIFO order) —
     /// the inverse of [`Batcher::queues`].
     pub fn from_queues(batch_max: usize, interactive: Vec<Request>, bulk: Vec<Request>) -> Self {
         Batcher { interactive: interactive.into(), bulk: bulk.into(), batch_max: batch_max.max(1) }

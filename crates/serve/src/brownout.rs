@@ -189,10 +189,10 @@ impl BrownoutSummary {
     }
 }
 
-/// The serializable state of a [`BrownoutLadder`] mid-run — the ladder
-/// half of a swap snapshot. Restoring it under the same configuration
+/// The state of a [`BrownoutLadder`] mid-run — the ladder half of an
+/// exported `SessionState`. Restoring it under the same configuration
 /// resumes the state machine bit-identically.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BrownoutState {
     /// The latched tier index.
     pub tier: usize,
@@ -296,7 +296,7 @@ impl BrownoutLadder {
         self.tier
     }
 
-    /// Exports the ladder's full mid-run state for a swap snapshot.
+    /// Exports the ladder's full mid-run state for a segment barrier.
     pub fn state(&self) -> BrownoutState {
         BrownoutState {
             tier: self.tier.index(),
@@ -308,9 +308,9 @@ impl BrownoutLadder {
         }
     }
 
-    /// Rebuilds a ladder from a snapshotted state — the inverse of
+    /// Rebuilds a ladder from an exported state — the inverse of
     /// [`BrownoutLadder::state`]. Missing tier counters (from a shorter
-    /// snapshot vector) restore as zero.
+    /// `tier_windows` vector) restore as zero.
     pub fn from_state(config: BrownoutConfig, state: &BrownoutState) -> Self {
         let mut tier_windows = [0usize; BROWNOUT_TIERS];
         for (slot, &w) in tier_windows.iter_mut().zip(state.tier_windows.iter()) {

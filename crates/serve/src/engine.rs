@@ -10,7 +10,6 @@ use hadas_runtime::{
     enforce_thermal_cap, DegradePolicy, FaultInjector, GrayDefect, GrayFaultConfig, Histogram,
     OperatingMode, PolicyState, ScalingPolicy,
 };
-use serde::{Deserialize, Serialize};
 
 /// The open-loop serving engine: a virtual-time scheduler that forms
 /// deadline-aware batches, runs the configured DVFS governor once per
@@ -49,7 +48,7 @@ pub struct ServeEngine<'a> {
 /// observable state a fleet supervisor monitors per device. Samples are
 /// scheduling-plane quantities on the virtual clock, so the health trace
 /// is byte-identical across worker counts and recovered chaos runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthSample {
     /// Control-window index (0-based).
     pub window: usize,
@@ -87,9 +86,9 @@ pub struct ServeTrace {
 /// engine. Everything the final [`ServeReport`] depends on lives here:
 /// the virtual clock, the in-flight batcher queues, worker lanes,
 /// governor/brownout state, and all folded accumulators (histogram
-/// included). Serializable, so a swap snapshot can be persisted and
-/// validated like a search checkpoint (see `EngineSnapshot`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// included). It lives in memory only: an operating-point swap hands
+/// the same state to the next segment's engine unchanged.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionState {
     /// The virtual clock (seconds).
     pub now_s: f64,
@@ -288,46 +287,11 @@ impl<'a> ServeEngine<'a> {
     pub fn session(&self) -> Result<ServeSession<'a, '_>, HadasError> {
         let exit_slots = self.exit_slots();
         let state = SessionState {
-            now_s: 0.0,
-            seq: 0,
-            offered: 0,
-            queued_interactive: Vec::new(),
-            queued_bulk: Vec::new(),
             worker_free_s: vec![0.0; self.config.workers],
-            shed: 0,
-            rejected: 0,
-            current_mode: 0,
-            next_control_s: 0.0,
-            mode_switches: 0,
-            switch_energy_j: 0.0,
-            throttled_windows: 0,
-            window_degraded: false,
-            degraded_batches: 0,
-            makespan_s: 0.0,
-            brownout: None,
-            win_latencies_ms: Vec::new(),
-            win_completed: 0,
-            win_violations: 0,
-            health: Vec::new(),
-            served: 0,
-            correct: 0,
-            energy_j: 0.0,
-            sag_energy_j: 0.0,
-            batches: 0,
-            latencies: Histogram::new(),
-            violations: 0,
-            interactive_served: 0,
-            interactive_violations: 0,
-            bulk_served: 0,
-            bulk_violations: 0,
             exit_counts: vec![0; exit_slots],
             mode_occupancy: vec![0; self.modes.len()],
             per_worker_served: vec![0; self.config.workers],
-            dead_lettered: 0,
-            windows_opened: 0,
-            last_emitted: None,
-            telemetry_defects: TelemetryCounters::default(),
-            latency_sum_ms: 0.0,
+            ..SessionState::default()
         };
         self.open_session(state, self.config.brownout.map(BrownoutLadder::new))
     }
@@ -495,9 +459,9 @@ impl<'a, 'e> ServeSession<'a, 'e> {
         self.telemetry
     }
 
-    /// Exports the complete mid-run state at a segment barrier — the
-    /// swap snapshot payload. Pure: the session can keep serving after
-    /// the export.
+    /// Exports the complete mid-run state at a segment barrier — what an
+    /// operating-point swap carries over. Pure: the session can keep
+    /// serving after the export.
     pub fn state(&self) -> SessionState {
         let mut state = self.state.clone();
         let (interactive, bulk) = self.batcher.queues();

@@ -36,13 +36,16 @@
 //!   (shed bulk → force early exits → reject admissions) with hysteresis,
 //!   keeping interactive tail latency bounded under bursts instead of
 //!   letting it collapse.
-//! * [`ServeSession`] / [`SessionState`] / [`EngineSnapshot`] — the
-//!   zero-drop swap protocol: a run pauses at a segment barrier, exports
-//!   its complete state (in-flight queues, batcher, brownout ladder,
-//!   histograms), optionally persists it as a schema-versioned and
-//!   fingerprinted snapshot, and resumes under a *different* operating
-//!   ladder — without dropping a single queued request. The fleet plane's
-//!   live reconfiguration is built on exactly this seam.
+//! * [`ServeSession`] / [`SessionState`] — the zero-drop swap protocol:
+//!   a run pauses at a segment barrier, exports its complete in-memory
+//!   state (in-flight queues, batcher, brownout ladder, histograms), and
+//!   resumes under a *different* operating ladder — without dropping a
+//!   single queued request. The fleet plane's live reconfiguration is
+//!   built on exactly this seam.
+//! * [`stamp_report`] / [`verify_report`] — the one sealing path of
+//!   every persisted report ([`ServeReport`] here, the fleet report
+//!   downstream): a schema tag plus an FNV-1a fingerprint over the
+//!   pretty JSON, refused on read when either is off.
 //!
 //! ```no_run
 //! use hadas_serve::{ServeConfig, ServeEngine};
@@ -67,7 +70,6 @@ mod governor;
 mod pool;
 mod report;
 mod request;
-mod snapshot;
 mod telemetry;
 
 pub use batch::Batcher;
@@ -79,11 +81,10 @@ pub use engine::{HealthSample, ServeEngine, ServeSession, ServeTrace, SessionSta
 pub use governor::{apply_brownout, build_governor, QueuePolicy};
 pub use pool::ResilienceTelemetry;
 pub use report::{
-    accounting_balances, fingerprint64, zero_fingerprint_field, ServeReport, SloSummary,
-    TelemetryIntegrity, SERVE_REPORT_SCHEMA,
+    accounting_balances, fingerprint64, stamp_report, verify_report, zero_fingerprint_field,
+    SealedReport, ServeReport, SloSummary, TelemetryIntegrity, SERVE_REPORT_SCHEMA,
 };
 pub use request::{generate_requests, Request, SloClass};
-pub use snapshot::{EngineSnapshot, SWAP_SNAPSHOT_SCHEMA};
 pub use telemetry::{
     TelemetryCounters, TelemetryDefect, TelemetrySanitizer, IMPLAUSIBLE_QUEUE_DEPTH,
 };

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 pub const SERVE_REPORT_SCHEMA: u32 = 2;
 
 /// FNV-1a 64-bit over raw bytes — the workspace's stable content
-/// fingerprint for persisted artifacts (reports, swap snapshots).
+/// fingerprint for persisted artifacts (reports, benchmark digests).
 /// Hand-rolled because `DefaultHasher` does not guarantee stability
 /// across Rust releases, and persisted fingerprints must.
 pub fn fingerprint64(bytes: &[u8]) -> u64 {
@@ -38,6 +38,67 @@ pub fn zero_fingerprint_field(json: &str) -> Option<String> {
         return None;
     }
     Some(format!("{}0{}", &json[..start], &json[start + digits..]))
+}
+
+/// A persisted report sealed by a leading `schema`/`fingerprint` pair.
+/// [`stamp_report`] and [`verify_report`] are the one sealing path every
+/// implementor's `to_json`/`from_json` delegates to.
+pub trait SealedReport: Clone + Serialize + Deserialize {
+    /// The schema version this build writes and accepts.
+    const SCHEMA: u32;
+    /// Human-readable report kind for error messages (`"serve report"`).
+    const KIND: &'static str;
+    /// The report's leading `(schema, fingerprint)` fields.
+    fn seal_fields(&mut self) -> (&mut u32, &mut u64);
+}
+
+/// Serialises `report` as pretty JSON with [`SealedReport::SCHEMA`]
+/// stamped and the fingerprint set to [`fingerprint64`] of the same
+/// text with the fingerprint zeroed.
+///
+/// # Errors
+///
+/// Propagates serialisation failures (none for the workspace's reports
+/// in practice).
+pub fn stamp_report<R: SealedReport>(report: &R) -> Result<String, serde_json::Error> {
+    let mut stamped = report.clone();
+    let (schema, fingerprint) = stamped.seal_fields();
+    *schema = R::SCHEMA;
+    *fingerprint = 0;
+    let zeroed = serde_json::to_string_pretty(&stamped)?;
+    *stamped.seal_fields().1 = fingerprint64(zeroed.as_bytes());
+    serde_json::to_string_pretty(&stamped)
+}
+
+/// Parses a report written by [`stamp_report`], refusing stale schemas
+/// and content whose fingerprint does not match the bytes — the same
+/// gated restore contract as `SearchCheckpoint`.
+///
+/// # Errors
+///
+/// Returns [`HadasError::Checkpoint`] for unparsable JSON, a schema
+/// other than [`SealedReport::SCHEMA`], or a fingerprint mismatch
+/// (tampered or truncated content).
+pub fn verify_report<R: SealedReport>(json: &str) -> Result<R, HadasError> {
+    let kind = R::KIND;
+    let mut report: R = serde_json::from_str(json)
+        .map_err(|e| HadasError::Checkpoint(format!("parse {kind}: {e}")))?;
+    let (&mut schema, &mut fingerprint) = report.seal_fields();
+    if schema != R::SCHEMA {
+        return Err(HadasError::Checkpoint(format!(
+            "{kind} schema {schema} unsupported (expected {})",
+            R::SCHEMA
+        )));
+    }
+    let zeroed = zero_fingerprint_field(json)
+        .ok_or_else(|| HadasError::Checkpoint(format!("{kind} carries no fingerprint field")))?;
+    let expected = fingerprint64(zeroed.as_bytes());
+    if fingerprint != expected {
+        return Err(HadasError::Checkpoint(format!(
+            "{kind} fingerprint {fingerprint:#018x} does not match its content ({expected:#018x})"
+        )));
+    }
+    Ok(report)
 }
 
 /// The request-conservation identity every serving plane obeys, stated
@@ -179,52 +240,27 @@ pub struct ServeReport {
     pub telemetry: TelemetryIntegrity,
 }
 
+impl SealedReport for ServeReport {
+    const SCHEMA: u32 = SERVE_REPORT_SCHEMA;
+    const KIND: &'static str = "serve report";
+
+    fn seal_fields(&mut self) -> (&mut u32, &mut u64) {
+        (&mut self.schema, &mut self.fingerprint)
+    }
+}
+
 impl ServeReport {
-    /// Serialises the report as pretty JSON — the byte-identical artifact
-    /// the determinism contract is stated over.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialisation failures (none for this struct in
-    /// practice).
+    /// Serialises the report as sealed pretty JSON ([`stamp_report`]) —
+    /// the byte-identical artifact the determinism contract is stated
+    /// over.
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        let mut stamped = self.clone();
-        stamped.schema = SERVE_REPORT_SCHEMA;
-        stamped.fingerprint = 0;
-        let zeroed = serde_json::to_string_pretty(&stamped)?;
-        stamped.fingerprint = fingerprint64(zeroed.as_bytes());
-        serde_json::to_string_pretty(&stamped)
+        stamp_report(self)
     }
 
-    /// Parses a serialized report, refusing stale schemas and content
-    /// whose fingerprint does not match the bytes — the same gated
-    /// restore contract as `SearchCheckpoint`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HadasError::Checkpoint`] for unparsable JSON, a schema
-    /// other than [`SERVE_REPORT_SCHEMA`], or a fingerprint mismatch
-    /// (tampered or truncated content).
+    /// Parses a sealed report, refusing a stale schema or a fingerprint
+    /// mismatch ([`verify_report`]).
     pub fn from_json(json: &str) -> Result<Self, HadasError> {
-        let report: ServeReport = serde_json::from_str(json)
-            .map_err(|e| HadasError::Checkpoint(format!("parse serve report: {e}")))?;
-        if report.schema != SERVE_REPORT_SCHEMA {
-            return Err(HadasError::Checkpoint(format!(
-                "serve report schema {} unsupported (expected {SERVE_REPORT_SCHEMA})",
-                report.schema
-            )));
-        }
-        let zeroed = zero_fingerprint_field(json).ok_or_else(|| {
-            HadasError::Checkpoint("serve report carries no fingerprint field".to_string())
-        })?;
-        let expected = fingerprint64(zeroed.as_bytes());
-        if report.fingerprint != expected {
-            return Err(HadasError::Checkpoint(format!(
-                "serve report fingerprint {:#018x} does not match its content ({expected:#018x})",
-                report.fingerprint
-            )));
-        }
-        Ok(report)
+        verify_report(json)
     }
 
     /// Whether this run satisfies the request-conservation identity
@@ -308,6 +344,14 @@ mod tests {
         assert!(err.to_string().contains("schema"), "{err}");
 
         assert!(ServeReport::from_json("not json").is_err());
+    }
+
+    /// Pins the exact bytes of a sealed report: any drift in field
+    /// order, float formatting or the seal itself changes this value.
+    #[test]
+    fn sealed_report_bytes_are_pinned() {
+        let json = sample_report().to_json().expect("reports serialize");
+        assert_eq!(fingerprint64(json.as_bytes()), 0x23c7_72be_d165_1389, "{json}");
     }
 
     #[test]
