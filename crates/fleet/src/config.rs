@@ -74,7 +74,9 @@ pub struct FleetConfig {
     pub scenario: Option<Scenario>,
     /// Whether the live reconfiguration controller runs (epoch-wise
     /// operating-point swaps against the drift; see
-    /// [`crate::ReconfigSummary`]). Off = pinned-mode fleet.
+    /// [`crate::ReconfigSummary`]). Off, and with neither `gray` nor
+    /// detection on, the fleet runs as one epoch on the pinned top-3
+    /// ladder.
     pub reconfigure: bool,
     /// Controller knobs for the reconfiguration plane (consulted only
     /// with `reconfigure` on).

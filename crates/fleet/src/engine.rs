@@ -1,32 +1,33 @@
 //! The fleet engine: N heterogeneous device units in shared virtual
 //! time, supervised through the core executor, under the global router.
 //!
-//! One run is two deterministic passes. First the *scheduling pass*,
-//! single-threaded: generate the fleet-wide arrival stream (drift
-//! scenario included), route every request to a device (or fleet-reject
-//! it), and fix each unit's serve configuration. Then the *execution
-//! pass*: each unit becomes one supervised executor job — spawned on a
-//! fleet worker lane, monitored (crashes surface as lane deaths,
-//! retried with seq-preserving re-dispatch of the unit's whole
-//! in-flight substream), and reduced by the pure per-unit serve run.
-//! Results fold in device-index order, so the serialized
-//! [`FleetReport`] is byte-identical across fleet worker counts and
-//! under injected unit crashes that heal with zero dead letters.
+//! A run is one loop over epochs, and every epoch is two deterministic
+//! passes. First the *scheduling pass*, single-threaded: route the
+//! epoch's slice of the fleet-wide arrival stream (drift scenario
+//! included) to devices under refreshed cost estimates, or
+//! fleet-reject it. Then the *execution pass*: each device segment
+//! becomes one supervised executor job — spawned on a fleet worker
+//! lane, monitored (crashes surface as lane deaths, retried with
+//! seq-preserving re-dispatch), and reduced by the pure serve segment,
+//! session state in, session state out. A job that dead-letters loses
+//! its slice as dead letters and the pre-epoch state carries on. At
+//! each barrier the gray-failure detector and the reconfiguration
+//! controller may close lanes and slide mode windows along the Pareto
+//! front via zero-drop swaps (see [`crate::ReconfigConfig`]).
 //!
-//! With `FleetConfig::reconfigure` on, the run is segmented into epochs
-//! (see [`crate::ReconfigConfig`]): each epoch routes its stream slice
-//! under refreshed estimates, serves every device one segment forward,
-//! and the controller slides per-device mode windows along the full
-//! Pareto front via zero-drop swaps — the same two-pass
-//! structure applied per epoch, so every byte-identity contract above
-//! carries over, and a mid-swap unit crash heals exactly like any other
-//! unit crash.
+//! A fleet without reconfiguration, gray injection or detection is a
+//! single epoch on each plane's pinned top-3 ladder; otherwise it runs
+//! `ReconfigConfig::epochs` epochs on the sliding windows. Unit chaos
+//! is keyed `epoch × devices + device`. Results fold in device-index
+//! order, so the serialized [`FleetReport`] is byte-identical across
+//! fleet worker counts and under injected unit crashes that heal with
+//! zero dead letters.
 
 use crate::health::{
     judge, DetectionSummary, EpochEvidence, HealthMachine, HealthTransition, Verdict,
 };
 use crate::reconfig::{decide_anchor, AnchorDecision, EpochPressure, RECONFIG_WINDOW};
-use crate::router::{route, DeviceEstimate, LaneState, Router};
+use crate::router::{DeviceEstimate, LaneState, Router};
 use crate::{
     DeviceHealthReport, DeviceSummary, FleetConfig, FleetReport, HealthState, ReconfigSummary,
     RouterSummary,
@@ -59,7 +60,8 @@ impl DevicePlane {
         self.target
     }
 
-    /// The deployed pinned-mode ladder (index 0 = most accurate).
+    /// The pinned top-3 ladder a single-epoch fleet serves (index 0 =
+    /// most accurate, the same point as `front()[0]`).
     pub fn modes(&self) -> &[OperatingMode] {
         &self.modes
     }
@@ -134,35 +136,12 @@ pub fn build_planes(
     Ok(planes)
 }
 
-/// One device unit as a supervised executor job: everything the pure
-/// unit run needs, fixed at schedule time.
-#[derive(Debug, Clone)]
-struct DeviceJob {
-    device: usize,
-    plane: usize,
-    config: ServeConfig,
-    requests: Vec<Request>,
-}
-
-/// One device × epoch segment as a supervised executor job under the
-/// reconfiguration plane: the session state rides in, the post-segment
-/// state rides out.
-#[derive(Debug, Clone)]
+/// One device × epoch segment as a supervised executor job: the session
+/// state rides in, the post-segment state rides out.
 struct EpochJob {
     device: usize,
-    plane: usize,
-    anchor: usize,
-    config: ServeConfig,
     state: SessionState,
     requests: Vec<Request>,
-    drain: bool,
-}
-
-/// What one device contributed to the fold: a completed trace, or a
-/// dead unit whose assignment became dead letters.
-enum UnitOutcome {
-    Dead { assigned: usize },
-    Done { assigned: usize, trace: Box<ServeTrace> },
 }
 
 /// The outcome of one fleet run: the deterministic report plus the
@@ -213,17 +192,10 @@ impl<'a> FleetEngine<'a> {
         &self.config
     }
 
-    /// The router's modeled per-request cost of device `d` under the
-    /// pinned ladder: the plane's mode-0 (most accurate) serve cost at
-    /// nominal difficulty.
-    fn estimate_of(&self, d: usize) -> DeviceEstimate {
-        let outcome = self.planes[self.plane_ix[d]].modes[0].serve(0.5);
-        DeviceEstimate { service_s: outcome.cost.latency_s, energy_j: outcome.cost.energy_j }
-    }
-
     /// The router's modeled per-request cost of device `d` at window
     /// `anchor` — refreshed after every swap so routing sees the
-    /// device's *current* operating point.
+    /// device's *current* operating point. Anchor 0 prices the most
+    /// accurate point, which is also `modes()[0]` of the pinned ladder.
     fn estimate_at(&self, d: usize, anchor: usize) -> DeviceEstimate {
         let plane = &self.planes[self.plane_ix[d]];
         let mode = &plane.front[anchor.min(plane.front.len() - 1)];
@@ -278,10 +250,12 @@ impl<'a> FleetEngine<'a> {
         }
     }
 
-    /// Runs the fleet to completion (see module docs for the two-pass
-    /// structure and the determinism contract): the pinned-mode path,
-    /// or the epoch-wise reconfiguration path when
-    /// `FleetConfig::reconfigure` is on.
+    /// Runs the fleet to completion, one epoch at a time (see module
+    /// docs for the per-epoch two-pass structure and the determinism
+    /// contract): per-epoch routing under live lane states, the online
+    /// gray-failure detector at every barrier (see `crate::health`),
+    /// and — with `FleetConfig::reconfigure` on — zero-drop
+    /// operating-point swaps (see `crate::reconfig`).
     ///
     /// # Errors
     ///
@@ -289,147 +263,52 @@ impl<'a> FleetEngine<'a> {
     /// configurations, or [`HadasError::Internal`] if a unit breaks the
     /// request-conservation identity or the supervisor breaks protocol.
     pub fn run(&self) -> Result<FleetRun, HadasError> {
-        // Gray injection and online detection both need the epoch
-        // machinery (windowed evidence, per-epoch lanes) even when the
-        // reconfiguration controller itself stays off.
-        if self.config.reconfigure || self.config.gray.is_some() || self.config.detection.enabled {
-            self.run_epochs()
-        } else {
-            self.run_pinned()
-        }
-    }
-
-    /// The pinned-mode fleet: one routing pass, one supervised
-    /// execution pass, every device on its fixed top-3 ladder.
-    fn run_pinned(&self) -> Result<FleetRun, HadasError> {
         let duration_s = self.config.duration_s();
         let n = self.config.devices.len();
-
-        // Scheduling pass: one fleet-wide arrival stream, routed.
-        let requests = generate_requests(&self.gen_config(duration_s), None);
-        let offered = requests.len();
-        let estimates: Vec<DeviceEstimate> = (0..n).map(|d| self.estimate_of(d)).collect();
-        let routing = route(&self.config, &estimates, requests);
-
-        let jobs: Vec<DeviceJob> = routing
-            .substreams
-            .into_iter()
-            .enumerate()
-            .map(|(d, substream)| DeviceJob {
-                device: d,
-                plane: self.plane_ix[d],
-                config: self.device_config(d, duration_s),
-                requests: substream,
-            })
-            .collect();
-        for job in &jobs {
-            job.config.validate()?;
-        }
-
-        // Unit-level chaos script: pure in (seed, schedule), so the
-        // recovery replay is identical at any fleet worker count.
-        let plan = match &self.config.chaos {
-            Some(c) => {
-                let injector =
-                    FaultInjector::new(FaultConfig { horizon_s: duration_s, ..c.clone() })?;
-                let specs: Vec<JobSpec> = jobs
-                    .iter()
-                    .map(|j| JobSpec {
-                        key: j.device as u64,
-                        est_ms: estimates[j.device].service_s * 1e3 * j.requests.len() as f64,
-                        weight: j.requests.len(),
-                    })
-                    .collect();
-                Some(ChaosPlan::build(
-                    &injector,
-                    &self.config.retry,
-                    CircuitBreaker::new(
-                        self.config.breaker_threshold,
-                        self.config.breaker_cooldown,
-                    ),
-                    self.config.hedge_factor,
-                    &specs,
-                ))
-            }
-            None => None,
-        };
-
-        // Execution pass: device units as supervised jobs.
-        let planes = self.planes;
-        let run_unit = |job: &DeviceJob| -> Result<ServeTrace, HadasError> {
-            let plane = &planes[job.plane];
-            ServeEngine::new(&plane.hadas, plane.modes.clone(), job.config.clone())?
-                .run_requests(job.requests.clone())
-        };
-        let (slots, telemetry) =
-            run_supervised(&jobs, self.config.workers, run_unit, plan.as_ref())?;
-
-        let mut outcomes = Vec::with_capacity(n);
-        for (job, slot) in jobs.iter().zip(slots) {
-            let assigned = job.requests.len();
-            match slot {
-                None => outcomes.push(UnitOutcome::Dead { assigned }),
-                Some(Err(e)) => return Err(e),
-                Some(Ok(trace)) => {
-                    outcomes.push(UnitOutcome::Done { assigned, trace: Box::new(trace) });
-                }
-            }
-        }
-
-        let reconfig = ReconfigSummary::disabled(self.config.scenario_name());
-        let detection = DetectionSummary::disabled(n);
-        let report = self.fold_report(offered, routing.summary, outcomes, reconfig, detection)?;
-        Ok(FleetRun { report, telemetry })
-    }
-
-    /// The epoch-segmented fleet: per-epoch routing under live lane
-    /// states, the online gray-failure detector at every barrier
-    /// (see `crate::health`), and — with `FleetConfig::reconfigure`
-    /// on — zero-drop operating-point swaps (see `crate::reconfig`).
-    fn run_epochs(&self) -> Result<FleetRun, HadasError> {
-        let duration_s = self.config.duration_s();
-        let n = self.config.devices.len();
-        let rc = self.config.reconfig.clone();
-        let epochs = rc.epochs;
-        let detection = self.config.detection.clone();
+        let rc = &self.config.reconfig;
+        let detection = &self.config.detection;
         let detect = detection.enabled;
+        // Gray injection and online detection need windowed evidence and
+        // per-epoch lanes even when the controller itself stays off. A
+        // fleet that needs none of them is a single epoch on the pinned
+        // top-3 ladder.
+        let segmented = self.config.reconfigure || self.config.gray.is_some() || detect;
+        let epochs = if segmented { rc.epochs } else { 1 };
 
         let requests = generate_requests(&self.gen_config(duration_s), None);
         let offered = requests.len();
 
         // The substrate stream swap-failure draws come from; chaos
         // stays execution-plane and never reaches a decision.
-        let swap_faults = match &self.config.faults {
-            Some(f) => {
-                Some(FaultInjector::new(FaultConfig { horizon_s: duration_s, ..f.clone() })?)
-            }
-            None => None,
+        let injector = |f: &FaultConfig| {
+            FaultInjector::new(FaultConfig { horizon_s: duration_s, ..f.clone() })
         };
-        let chaos_injector = match &self.config.chaos {
-            Some(c) => {
-                Some(FaultInjector::new(FaultConfig { horizon_s: duration_s, ..c.clone() })?)
-            }
-            None => None,
-        };
+        let swap_faults = self.config.faults.as_ref().map(injector).transpose()?;
+        let chaos_injector = self.config.chaos.as_ref().map(injector).transpose()?;
 
         let device_cfgs: Vec<ServeConfig> =
             (0..n).map(|d| self.device_config(d, duration_s)).collect();
         for cfg in &device_cfgs {
             cfg.validate()?;
         }
+        // Device `d`'s serve engine with its window at `anchor`.
+        let engine = |d: usize, anchor: usize| {
+            let plane = &self.planes[self.plane_ix[d]];
+            let modes = if segmented { plane.window(anchor) } else { plane.modes.clone() };
+            ServeEngine::new(&plane.hadas, modes, device_cfgs[d].clone())
+        };
 
         // Fresh zeroed sessions, exported immediately: the per-epoch
         // jobs are pure (state in → state out).
         let mut states: Vec<SessionState> = Vec::with_capacity(n);
-        for (d, cfg) in device_cfgs.iter().enumerate() {
-            let plane = &self.planes[self.plane_ix[d]];
-            let engine = ServeEngine::new(&plane.hadas, plane.window(0), cfg.clone())?;
-            states.push(engine.session()?.state());
+        for d in 0..n {
+            states.push(engine(d, 0)?.session()?.state());
         }
 
         let mut router = Router::new(&self.config, n);
         let mut anchors = vec![0usize; n];
         let mut calm = vec![0usize; n];
+        let mut dead_epochs = vec![0usize; n];
         #[derive(Clone, Copy, Default)]
         struct Mark {
             interactive_served: usize,
@@ -499,47 +378,37 @@ impl<'a> FleetEngine<'a> {
                 .enumerate()
                 .map(|(d, substream)| EpochJob {
                     device: d,
-                    plane: self.plane_ix[d],
-                    anchor: anchors[d],
-                    config: device_cfgs[d].clone(),
                     state: states[d].clone(),
                     requests: substream,
-                    drain,
                 })
                 .collect();
 
-            let plan = match &chaos_injector {
-                Some(injector) => {
-                    let specs: Vec<JobSpec> = jobs
-                        .iter()
-                        .map(|j| JobSpec {
-                            key: (e * n + j.device) as u64,
-                            est_ms: estimates[j.device].service_s * 1e3 * j.requests.len() as f64,
-                            weight: j.requests.len(),
-                        })
-                        .collect();
-                    Some(ChaosPlan::build(
-                        injector,
-                        &self.config.retry,
-                        CircuitBreaker::new(
-                            self.config.breaker_threshold,
-                            self.config.breaker_cooldown,
-                        ),
-                        self.config.hedge_factor,
-                        &specs,
-                    ))
-                }
-                None => None,
-            };
+            let plan = chaos_injector.as_ref().map(|injector| {
+                let specs: Vec<JobSpec> = jobs
+                    .iter()
+                    .map(|j| JobSpec {
+                        key: (e * n + j.device) as u64,
+                        est_ms: estimates[j.device].service_s * 1e3 * j.requests.len() as f64,
+                        weight: j.requests.len(),
+                    })
+                    .collect();
+                ChaosPlan::build(
+                    injector,
+                    &self.config.retry,
+                    CircuitBreaker::new(
+                        self.config.breaker_threshold,
+                        self.config.breaker_cooldown,
+                    ),
+                    self.config.hedge_factor,
+                    &specs,
+                )
+            });
 
             // Execution pass: one pure segment per device.
-            let planes = self.planes;
             let run_unit = |job: &EpochJob| -> Result<SessionState, HadasError> {
-                let plane = &planes[job.plane];
-                let engine =
-                    ServeEngine::new(&plane.hadas, plane.window(job.anchor), job.config.clone())?;
+                let engine = engine(job.device, anchors[job.device])?;
                 let mut session = engine.resume(job.state.clone())?;
-                session.serve_segment(&job.requests, job.drain)?;
+                session.serve_segment(&job.requests, drain)?;
                 Ok(session.state())
             };
             let (slots, t) = run_supervised(&jobs, self.config.workers, run_unit, plan.as_ref())?;
@@ -558,6 +427,7 @@ impl<'a> FleetEngine<'a> {
                         st.offered += job.requests.len();
                         st.dead_lettered += job.requests.len();
                         states[d] = st;
+                        dead_epochs[d] += 1;
                     }
                     Some(Err(err)) => return Err(err),
                     Some(Ok(st)) => states[d] = st,
@@ -628,11 +498,11 @@ impl<'a> FleetEngine<'a> {
                 divs.sort_by(f64::total_cmp);
                 let median_divergence = divs[n / 2];
                 for d in 0..n {
-                    let verdict = judge(&detection, &deltas[d].evidence, median_divergence);
+                    let verdict = judge(detection, &deltas[d].evidence, median_divergence);
                     if verdict == Verdict::Dirty {
                         dirty_epochs += 1;
                     }
-                    if let Some((from, to)) = machines[d].step(&detection, verdict) {
+                    if let Some((from, to)) = machines[d].step(detection, verdict) {
                         if to == HealthState::Quarantined {
                             ever_quarantined[d] = true;
                             // Quarantine drain: pull the in-flight queue
@@ -689,7 +559,7 @@ impl<'a> FleetEngine<'a> {
                     fleet_quarantined: quarantined_frac,
                 };
                 let max_anchor = self.planes[self.plane_ix[d]].max_anchor();
-                let decision = decide_anchor(&rc, &pressure, anchors[d], max_anchor, &mut calm[d]);
+                let decision = decide_anchor(rc, &pressure, anchors[d], max_anchor, &mut calm[d]);
                 let target = match decision {
                     AnchorDecision::Hold => continue,
                     AnchorDecision::Escalate => anchors[d] + 1,
@@ -740,29 +610,26 @@ impl<'a> FleetEngine<'a> {
         } else {
             DetectionSummary::disabled(n)
         };
-        let mut outcomes = Vec::with_capacity(n);
+        let mut traces = Vec::with_capacity(n);
         for (d, state) in states.into_iter().enumerate() {
-            let plane = &self.planes[self.plane_ix[d]];
-            let engine =
-                ServeEngine::new(&plane.hadas, plane.window(anchors[d]), device_cfgs[d].clone())?;
-            let trace = engine.resume(state)?.finish();
-            outcomes.push(UnitOutcome::Done {
-                assigned: router_summary.assigned[d],
-                trace: Box::new(trace),
-            });
+            traces.push(engine(d, anchors[d])?.resume(state)?.finish());
         }
-        let report = self.fold_report(offered, router_summary, outcomes, summary, det_summary)?;
+        let dead: Vec<bool> = dead_epochs.iter().map(|&k| k == epochs).collect();
+        let report =
+            self.fold_report(offered, router_summary, &traces, &dead, summary, det_summary)?;
         Ok(FleetRun { report, telemetry })
     }
 
-    /// Folds per-unit outcomes into the fleet report, in device order —
-    /// shared by both run paths, so a reconfigured report and a pinned
-    /// report are built by the same accounting.
+    /// Folds the per-device traces into the fleet report, in device
+    /// order. `dead[d]` marks a unit whose job dead-lettered in every
+    /// epoch: it never ran, so it is unhealthy even when the router
+    /// sent it nothing to lose.
     fn fold_report(
         &self,
         offered: usize,
         router_summary: RouterSummary,
-        outcomes: Vec<UnitOutcome>,
+        traces: &[ServeTrace],
+        dead: &[bool],
         reconfig: ReconfigSummary,
         detection: DetectionSummary,
     ) -> Result<FleetReport, HadasError> {
@@ -781,78 +648,57 @@ impl<'a> FleetEngine<'a> {
         let mut bulk = (0usize, 0usize);
         let mut per_device = Vec::with_capacity(n);
         let mut health = Vec::with_capacity(n);
-        for (d, outcome) in outcomes.into_iter().enumerate() {
+        for (d, (trace, &dead)) in traces.iter().zip(dead).enumerate() {
             let target = self.planes[self.plane_ix[d]].target.cli_name();
             let governor = self.config.governor_of(d).name();
             let state =
                 detection.final_states.get(d).map_or(HealthState::Healthy.name(), String::as_str);
-            match outcome {
-                UnitOutcome::Dead { assigned } => {
-                    // The unit's whole substream died with it: account
-                    // it as dead letters, never silently lost.
-                    dead_lettered += assigned;
-                    per_device.push(DeviceSummary {
-                        device: d,
-                        target: target.to_string(),
-                        governor: governor.to_string(),
-                        assigned,
-                        served: 0,
-                        shed: 0,
-                        rejected: 0,
-                        dead_lettered: assigned,
-                        mode_switches: 0,
-                        energy_j: 0.0,
-                        slo_violations: 0,
-                        p99_ms: 0.0,
-                    });
-                    health.push(DeviceHealthReport::dead_unit(d, target, governor, assigned));
-                }
-                UnitOutcome::Done { assigned, trace } => {
-                    let r = &trace.report;
-                    if !r.accounting_balances() || r.offered != assigned {
-                        return Err(HadasError::Internal(format!(
-                            "device {d} broke request conservation \
-                             ({} + {} + {} + {} vs {assigned} assigned)",
-                            r.served, r.shed, r.rejected, r.dead_lettered
-                        )));
-                    }
-                    served += r.served;
-                    shed += r.shed;
-                    rejected += r.rejected;
-                    dead_lettered += r.dead_lettered;
-                    energy += r.energy_j;
-                    sag_energy += r.sag_energy_j;
-                    makespan = makespan.max(r.makespan_s);
-                    global.merge(&trace.latencies);
-                    violations += r.slo.violations;
-                    interactive.0 += r.slo.interactive_served;
-                    interactive.1 += r.slo.interactive_violations;
-                    bulk.0 += r.slo.bulk_served;
-                    bulk.1 += r.slo.bulk_violations;
-                    per_device.push(DeviceSummary {
-                        device: d,
-                        target: target.to_string(),
-                        governor: governor.to_string(),
-                        assigned,
-                        served: r.served,
-                        shed: r.shed,
-                        rejected: r.rejected,
-                        dead_lettered: r.dead_lettered,
-                        mode_switches: r.mode_switches,
-                        energy_j: r.energy_j,
-                        slo_violations: r.slo.violations,
-                        p99_ms: r.latency.p99_ms,
-                    });
-                    health.push(DeviceHealthReport::from_trace(
-                        d,
-                        target,
-                        governor,
-                        &trace,
-                        &self.config.health,
-                        state,
-                    ));
-                }
+            let assigned = router_summary.assigned[d];
+            let r = &trace.report;
+            if !r.accounting_balances() || r.offered != assigned {
+                return Err(HadasError::Internal(format!(
+                    "device {d} broke request conservation \
+                     ({} + {} + {} + {} vs {assigned} assigned)",
+                    r.served, r.shed, r.rejected, r.dead_lettered
+                )));
             }
+            served += r.served;
+            shed += r.shed;
+            rejected += r.rejected;
+            dead_lettered += r.dead_lettered;
+            energy += r.energy_j;
+            sag_energy += r.sag_energy_j;
+            makespan = makespan.max(r.makespan_s);
+            global.merge(&trace.latencies);
+            violations += r.slo.violations;
+            interactive.0 += r.slo.interactive_served;
+            interactive.1 += r.slo.interactive_violations;
+            bulk.0 += r.slo.bulk_served;
+            bulk.1 += r.slo.bulk_violations;
+            per_device.push(DeviceSummary {
+                device: d,
+                target: target.to_string(),
+                governor: governor.to_string(),
+                assigned,
+                served: r.served,
+                shed: r.shed,
+                rejected: r.rejected,
+                dead_lettered: r.dead_lettered,
+                mode_switches: r.mode_switches,
+                energy_j: r.energy_j,
+                slo_violations: r.slo.violations,
+                p99_ms: r.latency.p99_ms,
+            });
+            let mut report = DeviceHealthReport::from_trace(
+                d,
+                target,
+                governor,
+                trace,
+                &self.config.health,
+                state,
+            );
+            report.healthy &= !dead;
+            health.push(report);
         }
 
         let routed = router_summary.routed();
@@ -907,6 +753,7 @@ mod tests {
     use super::*;
     use crate::FLEET_REPORT_SCHEMA;
     use hadas_runtime::{FaultConfig, Scenario};
+    use hadas_serve::fingerprint64;
 
     fn planes() -> Vec<DevicePlane> {
         build_planes(&[HwTarget::Tx2PascalGpu, HwTarget::AgxCarmelCpu], &HadasConfig::smoke_test())
@@ -1133,6 +980,96 @@ mod tests {
         assert!(err.to_string().contains("schema"), "{err}");
 
         assert!(FleetReport::from_json("not json").is_err());
+    }
+
+    /// Six alternating tx2-gpu/agx-cpu devices whose units die on
+    /// almost every attempt, so some of them get no traffic at all.
+    fn dying_config() -> FleetConfig {
+        FleetConfig {
+            devices: [HwTarget::Tx2PascalGpu, HwTarget::AgxCarmelCpu].repeat(3),
+            users: 8,
+            rps: 300.0,
+            seed: 42,
+            chaos: Some(FaultConfig {
+                crash_rate: 0.9,
+                transient_rate: 0.0,
+                timeout_rate: 0.0,
+                ..FaultConfig::worker_chaos(3)
+            }),
+            retry: hadas::RetryPolicy { max_attempts: 1, ..hadas::RetryPolicy::default() },
+            workers: 2,
+            ..FleetConfig::default()
+        }
+    }
+
+    #[test]
+    fn units_dead_for_every_epoch_are_unhealthy_even_without_traffic() {
+        let planes = planes();
+        let pinned = dying_config();
+        let drift = FleetConfig {
+            scenario: Some(Scenario::from_name("composite", 42, pinned.duration_s()).unwrap()),
+            reconfigure: true,
+            ..dying_config()
+        };
+        for (name, cfg) in [("pinned", pinned), ("drift", drift)] {
+            let epochs = if cfg.reconfigure { cfg.reconfig.epochs } else { 1 };
+            // Replays the engine's own chaos plans: a device whose job
+            // dead-letters in every epoch never ran at all.
+            let injector = FaultInjector::new(FaultConfig {
+                horizon_s: cfg.duration_s(),
+                ..cfg.chaos.clone().unwrap()
+            })
+            .unwrap();
+            let n = cfg.devices.len();
+            let mut dead_every_epoch = vec![true; n];
+            for e in 0..epochs {
+                let specs: Vec<JobSpec> = (0..n)
+                    .map(|d| JobSpec { key: (e * n + d) as u64, est_ms: 0.0, weight: 0 })
+                    .collect();
+                let plan = ChaosPlan::build(
+                    &injector,
+                    &cfg.retry,
+                    CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
+                    cfg.hedge_factor,
+                    &specs,
+                );
+                for (all, dead) in dead_every_epoch.iter_mut().zip(plan.dead) {
+                    *all &= dead;
+                }
+            }
+            let run = FleetEngine::new(&planes, cfg).unwrap().run().unwrap();
+            let mut checked = 0;
+            for (d, h) in run.report.health.iter().enumerate() {
+                if run.report.per_device[d].assigned == 0 && dead_every_epoch[d] {
+                    checked += 1;
+                    assert!(!h.healthy, "{name}: device {d} died in every epoch");
+                }
+            }
+            assert!(checked > 0, "{name}: some idle device must die in every epoch");
+            assert_eq!(
+                run.report.unhealthy_devices,
+                run.report.health.iter().filter(|h| !h.healthy).count()
+            );
+        }
+    }
+
+    #[test]
+    fn pinned_and_epoch_report_bytes_are_pinned() {
+        // The serialized report of a single-epoch pinned fleet, of a
+        // reconfigured fleet and of a pinned fleet with dead units: a
+        // change to any fingerprint is a report change, not a refactor.
+        let planes = planes();
+        let pins = [
+            ("pinned", small_config(), 0x0f0f_9336_e225_2727),
+            ("epochs", drift_config(), 0x9d88_840e_0a4f_7035),
+            ("dead units", dying_config(), 0xa827_a8da_cc10_4c40),
+        ];
+        for (name, cfg, want) in pins {
+            let run = FleetEngine::new(&planes, cfg).unwrap().run().unwrap();
+            let json = run.report.to_json().unwrap();
+            let got = fingerprint64(json.as_bytes());
+            assert_eq!(got, want, "{name}: {got:#x}");
+        }
     }
 
     #[test]

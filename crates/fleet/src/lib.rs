@@ -19,12 +19,15 @@
 //!   latency/energy cost, and modeled device health, composing with
 //!   each unit's own brownout ladder.
 //! - **Units** ([`DeviceHealthReport`], [`DeviceSummary`]): each
-//!   device runs as one supervised executor job; crashes respawn with
-//!   seq-preserving re-dispatch, exhausted budgets dead-letter the
-//!   unit, and periodic health samples condense per unit.
+//!   device runs one supervised executor job per epoch; crashes
+//!   respawn with seq-preserving re-dispatch, exhausted budgets
+//!   dead-letter the epoch's slice, and periodic health samples
+//!   condense per unit.
 //! - **Engine** ([`FleetEngine`] → [`FleetRun`] / [`FleetReport`]):
-//!   schedules single-threaded, executes under the supervisor, folds
-//!   in device order.
+//!   one epoch loop that schedules single-threaded, executes under the
+//!   supervisor and folds in device order; a fleet without
+//!   reconfiguration, gray injection or detection is a single epoch on
+//!   the pinned top-3 ladder.
 //! - **Reconfiguration** ([`ReconfigConfig`] → [`ReconfigSummary`]):
 //!   with `FleetConfig::reconfigure` on, a hysteresis controller reads
 //!   per-device epoch pressure (SLO violations, thermal caps, battery

@@ -205,7 +205,8 @@ pub struct ReconfigSummary {
 }
 
 impl ReconfigSummary {
-    /// The summary of a run without the controller (pinned-mode fleet);
+    /// The summary of a run without the controller (epochs still run
+    /// when gray injection or detection is on, but no window moves);
     /// the scenario name still records any drift in force.
     pub fn disabled(scenario: &str) -> Self {
         ReconfigSummary {

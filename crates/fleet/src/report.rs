@@ -16,10 +16,10 @@ pub const FLEET_REPORT_SCHEMA: u32 = 2;
 /// Aggregate outcome of one fleet run, folded from the per-device
 /// traces in device-index order.
 ///
-/// Determinism contract: the router's schedule and every device's
-/// schedule are computed single-threaded on the shared virtual clock;
-/// devices reduce as pure supervised jobs; results fold in device
-/// order. The serialized report is therefore byte-identical across
+/// Determinism contract: epoch by epoch, the router's schedule and
+/// every device's schedule are computed single-threaded on the shared
+/// virtual clock; device segments reduce as pure supervised jobs;
+/// results fold in device order. The serialized report is therefore byte-identical across
 /// fleet worker counts — worker count deliberately does **not**
 /// serialize — and byte-identical to the fault-free run under injected
 /// unit crashes whenever zero units dead-letter.
@@ -84,8 +84,8 @@ pub struct FleetReport {
     /// Name of the workload-drift scenario in force (`"none"`).
     pub scenario: String,
     /// Live-reconfiguration accounting: swaps, rollbacks, the zero-drop
-    /// counter, and final anchors ([`ReconfigSummary::disabled`] for a
-    /// pinned-mode fleet).
+    /// counter, and final anchors ([`ReconfigSummary::disabled`] when
+    /// `FleetConfig::reconfigure` is off).
     pub reconfig: ReconfigSummary,
     /// Gray-failure-detection accounting: per-device final states,
     /// transitions, quarantine re-dispatch counters
@@ -98,7 +98,8 @@ pub struct FleetReport {
     pub per_device: Vec<DeviceSummary>,
     /// Per-unit condensed health telemetry, in device order.
     pub health: Vec<DeviceHealthReport>,
-    /// Units whose health verdict came back unhealthy.
+    /// Units whose health verdict came back unhealthy (see
+    /// [`DeviceHealthReport::healthy`]).
     pub unhealthy_devices: usize,
 }
 

@@ -27,7 +27,7 @@ use hadas_runtime::{
 /// whenever no batch dead-letters, so the chaos report matches the
 /// fault-free one byte for byte.
 ///
-/// A run can be driven whole ([`ServeEngine::run_requests`]) or in
+/// A run can be driven whole ([`ServeEngine::run`]) or in
 /// *segments* through a [`ServeSession`]: the fleet plane serves one
 /// reconfiguration epoch per segment, exports the [`SessionState`]
 /// between epochs, and resumes it — possibly under a *different* engine
@@ -398,27 +398,10 @@ impl<'a> ServeEngine<'a> {
             None => None,
         };
         let requests = generate_requests(&self.config, injector.as_ref());
-        self.run_requests(requests).map(|trace| (trace.report, trace.telemetry))
-    }
-
-    /// Serves a *provided* arrival stream to completion — the fleet
-    /// plane's entry point: a global router splits one fleet-wide stream
-    /// into per-device substreams and each device serves its share here,
-    /// keeping original arrival times and ids. Returns the full
-    /// [`ServeTrace`] (report, raw latency histogram, health trace,
-    /// telemetry). Requests must be sorted by arrival time.
-    ///
-    /// [`ServeConfig::faults`] still drives the thermal/sag substrate of
-    /// this run (arrival-stream modulation is the caller's business when
-    /// the stream is provided).
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::run_instrumented`].
-    pub fn run_requests(&self, requests: Vec<Request>) -> Result<ServeTrace, HadasError> {
         let mut session = self.session()?;
         session.serve_segment(&requests, true)?;
-        Ok(session.finish())
+        let trace = session.finish();
+        Ok((trace.report, trace.telemetry))
     }
 }
 
