@@ -4,7 +4,8 @@
 //! clocks and compared against its searched DVFS pairing.
 
 use hadas::{DynamicModel, Hadas};
-use hadas_bench::{all_targets, bench_env};
+use hadas_bench::bench_env;
+use hadas_hw::HwTarget;
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -16,7 +17,8 @@ struct DvfsAblation {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = bench_env!().scaled_config();
+    let env = bench_env!();
+    let cfg = env.scale().config();
     println!("ABLATION — DVFS contribution per hardware setting");
     println!(
         "{:<24} {:>16} {:>16} {:>16}",
@@ -24,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", "-".repeat(76));
     let mut rows = Vec::new();
-    for target in all_targets() {
+    for target in HwTarget::ALL {
         let hadas = Hadas::for_target(target);
         let subnet = hadas.space().decode(&hadas_space::baselines::baseline_genome(4))?;
         let ioe = hadas.run_ioe(&subnet, &cfg, 0xDF5)?;
@@ -58,6 +60,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!();
     println!("DVFS adds a consistent extra energy cut on top of early exits (paper Table III: EEx vs EEx_DVFS columns)");
-    bench_env!().write_json("ablation_dvfs", &rows);
+    env.write_bench("ablation_dvfs", cfg.seed, &rows)?;
     Ok(())
 }

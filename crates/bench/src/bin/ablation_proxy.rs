@@ -92,7 +92,8 @@ fn true_front_hv(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = bench_env!().scaled_config();
+    let env = bench_env!();
+    let cfg = env.scale().config();
     let space = SearchSpace::attentive_nas();
     let device = DeviceModel::for_target(HwTarget::Tx2PascalGpu);
 
@@ -149,6 +150,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         retained * 100.0
     );
     println!("(paper: proxy cuts search time from 2-3 GPU days to ~1 with comparable results)");
-    bench_env!().write_json("ablation_proxy", &runs);
+    env.write_bench("ablation_proxy", cfg.seed, &runs)?;
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! population member, at the same per-IOE budget, reporting final-front
 //! quality and the number of IOE invocations (the dominant search cost).
 
-use hadas::Hadas;
+use hadas::{Hadas, HadasConfig};
 use hadas_bench::bench_env;
 use hadas_evo::{fast_non_dominated_sort, hypervolume_2d};
 use hadas_hw::HwTarget;
@@ -17,10 +17,9 @@ struct PruningRun {
     front_hv: f64,
 }
 
-fn run(prune_fraction: f64) -> Result<PruningRun, hadas::HadasError> {
+fn run(base: &HadasConfig, prune_fraction: f64) -> Result<PruningRun, hadas::HadasError> {
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
-    let mut cfg = bench_env!().scaled_config();
-    cfg.prune_fraction = prune_fraction;
+    let cfg = HadasConfig { prune_fraction, ..base.clone() };
     let outcome = hadas.run(&cfg)?;
     let ioe_invocations = outcome.backbones().iter().filter(|b| b.ioe.is_some()).count();
     let models = outcome.pareto_models();
@@ -40,6 +39,8 @@ fn run(prune_fraction: f64) -> Result<PruningRun, hadas::HadasError> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let env = bench_env!();
+    let cfg = env.scale().config();
     println!("ABLATION — OOE early-selection pruning (TX2 Pascal GPU)");
     println!(
         "{:>15} {:>17} {:>13} {:>10}",
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", "-".repeat(60));
     let mut runs = Vec::new();
     for f in [0.25, 0.5, 1.0] {
-        let r = run(f)?;
+        let r = run(&cfg, f)?;
         println!(
             "{:>15.2} {:>17} {:>13} {:>10.4}",
             r.prune_fraction, r.ioe_invocations, r.joint_models, r.front_hv
@@ -63,6 +64,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (1.0 - pruned.ioe_invocations as f64 / full.ioe_invocations as f64) * 100.0,
         pruned.front_hv / full.front_hv * 100.0
     );
-    bench_env!().write_json("ablation_pruning", &runs);
+    env.write_bench("ablation_pruning", cfg.seed, &runs)?;
     Ok(())
 }

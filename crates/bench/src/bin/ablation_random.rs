@@ -21,7 +21,8 @@ struct RandomAblation {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
     let subnet = hadas.space().decode(&baselines::baseline_genome(3))?;
-    let cfg = bench_env!().scaled_config();
+    let env = bench_env!();
+    let cfg = env.scale().config();
     let reference = [-0.5f64, 0.0];
     println!(
         "ABLATION — NSGA-II vs random search in the inner engine ({} evaluations each)",
@@ -59,6 +60,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!();
     println!("NSGA-II wins hypervolume on {wins}/5 seeds — the evolutionary engine earns its keep");
-    bench_env!().write_json("ablation_random", &rows);
+    env.write_bench("ablation_random", cfg.seed, &rows)?;
     Ok(())
 }

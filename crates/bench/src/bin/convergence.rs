@@ -7,8 +7,9 @@
 //! before its running Pareto front first dominates each baseline.
 
 use hadas::Hadas;
-use hadas_bench::{all_targets, baseline_subnets, bench_env};
+use hadas_bench::{baseline_subnets, bench_env};
 use hadas_evo::{dominates, hypervolume_2d};
+use hadas_hw::{HwError, HwTarget};
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -21,22 +22,23 @@ struct ConvergencePanel {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = bench_env!().scaled_config();
+    let env = bench_env!();
+    let cfg = env.scale().config();
     let mut panels = Vec::new();
-    for target in all_targets() {
+    for target in HwTarget::ALL {
         let hadas = Hadas::for_target(target);
         let outcome = hadas.run(&cfg)?;
         let axes = outcome.static_axes();
 
         // Baselines as (name, [acc, -energy]) targets to dominate.
         let device = hadas.device();
-        let baselines: Vec<(String, Vec<f64>)> = baseline_subnets(&hadas)
+        let baselines = baseline_subnets(&hadas)?
             .into_iter()
             .map(|(name, subnet)| {
-                let cost = device.subnet_cost(&subnet, &device.default_dvfs()).expect("valid");
-                (name, vec![hadas.accuracy().backbone_accuracy(&subnet), -cost.energy_mj()])
+                let cost = device.subnet_cost(&subnet, &device.default_dvfs())?;
+                Ok((name, vec![hadas.accuracy().backbone_accuracy(&subnet), -cost.energy_mj()]))
             })
-            .collect();
+            .collect::<Result<Vec<(String, Vec<f64>)>, HwError>>()?;
 
         // Reference point: slightly worse than anything explored.
         let min_acc = axes.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min) - 1.0;
@@ -88,8 +90,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let early_share: f64 = panels
         .iter()
         .filter_map(|p| {
-            let final_hv = p.curve.last()?.1;
-            let early = p.curve.iter().find(|&&(e, _)| e * 3 >= p.curve.last().unwrap().0)?;
+            let (evals, final_hv) = *p.curve.last()?;
+            let early = p.curve.iter().find(|&&(e, _)| e * 3 >= evals)?;
             Some(early.1 / final_hv)
         })
         .sum::<f64>()
@@ -99,6 +101,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "on average the first third of the budget reaches {:.0}% of the final hypervolume",
         early_share * 100.0
     );
-    bench_env!().write_json("convergence", &panels);
+    env.write_bench("convergence", cfg.seed, &panels)?;
     Ok(())
 }

@@ -3,12 +3,24 @@
 //! the three optimisation stages *Static*, *Dyn* (early exits), and
 //! *Dyn w/HW* (early exits + DVFS).
 
-use hadas::{report::Fig1Bars, DynamicModel, Hadas, StaticFitness};
+use hadas::{DynamicFitness, DynamicModel, Hadas, HadasConfig, StaticFitness};
 use hadas_bench::{bench_env, select_solution};
 use hadas_hw::HwTarget;
 use hadas_space::Subnet;
+use serde::Serialize;
 use std::error::Error;
 use std::fmt;
+
+/// One model's bars: its fitness at each optimisation stage.
+#[derive(Debug, Serialize)]
+struct StageBars {
+    model: String,
+    static_fitness: StaticFitness,
+    /// Exits only, at default DVFS.
+    dyn_fitness: DynamicFitness,
+    /// Exits and optimised DVFS.
+    dyn_hw_fitness: DynamicFitness,
+}
 
 /// No backbone of the joint search reached the a6-level dynamic
 /// accuracy floor (a6's Dyn accuracy minus 0.5 points) at no more than
@@ -39,12 +51,12 @@ impl Error for FloorUnreached {}
 
 fn stage_bars(
     hadas: &Hadas,
+    cfg: &HadasConfig,
     name: &str,
     subnet: &Subnet,
     seed: u64,
     acc_floor: f64,
-) -> Result<Fig1Bars, Box<dyn Error>> {
-    let cfg = bench_env!().scaled_config();
+) -> Result<StageBars, Box<dyn Error>> {
     let device = hadas.device();
     let cost = device.subnet_cost(subnet, &device.default_dvfs())?;
     let static_fitness = StaticFitness {
@@ -53,7 +65,7 @@ fn stage_bars(
         energy_mj: cost.energy_mj(),
     };
     // Dyn w/HW: minimum-energy (x*, f*) that is no slower than static.
-    let ioe = hadas.run_ioe(subnet, &cfg, seed)?;
+    let ioe = hadas.run_ioe(subnet, cfg, seed)?;
     let best = select_solution(&ioe, cost.latency_ms(), acc_floor)
         .or_else(|| select_solution(&ioe, cost.latency_ms(), 0.0))
         .ok_or("the IOE front has no configuration at most as slow as static")?
@@ -63,7 +75,7 @@ fn stage_bars(
         DynamicModel::new(subnet.clone(), best.placement.clone(), device.default_dvfs());
     let dyn_eval =
         dyn_model.evaluate(hadas.accuracy(), device, cfg.gamma, cfg.use_dissimilarity)?;
-    Ok(Fig1Bars {
+    Ok(StageBars {
         model: name.to_string(),
         static_fitness,
         dyn_fitness: dyn_eval.fitness,
@@ -73,13 +85,14 @@ fn stage_bars(
 
 fn main() -> Result<(), Box<dyn Error>> {
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
-    let cfg = bench_env!().scaled_config();
-    let nets = hadas_bench::baseline_subnets(&hadas);
+    let env = bench_env!();
+    let cfg = env.scale().config();
+    let nets = hadas_bench::baseline_subnets(&hadas)?;
     let a0 = &nets[0].1;
     let a6 = &nets[6].1;
 
-    let a0_bars = stage_bars(&hadas, "AttentiveNAS_a0", a0, 101, 0.0)?;
-    let a6_bars = stage_bars(&hadas, "AttentiveNAS_a6", a6, 102, 0.0)?;
+    let a0_bars = stage_bars(&hadas, &cfg, "AttentiveNAS_a0", a0, 101, 0.0)?;
+    let a6_bars = stage_bars(&hadas, &cfg, "AttentiveNAS_a6", a6, 102, 0.0)?;
 
     // The HADAS model: from a joint run, the backbone whose deployment
     // pick is cheapest while holding a6-level dynamic accuracy.
@@ -98,7 +111,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .into_iter()
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .ok_or(FloorUnreached { floor_pct: floor })?;
-    let hadas_bars = stage_bars(&hadas, "HADAS", hadas_subnet, 103, floor)?;
+    let hadas_bars = stage_bars(&hadas, &cfg, "HADAS", hadas_subnet, 103, floor)?;
 
     let bars = vec![a0_bars, a6_bars, hadas_bars];
     println!("FIG. 1 — accuracy and energy per optimisation stage (TX2 Pascal GPU)");
@@ -140,7 +153,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     let labels: Vec<String> = bars.iter().map(|b| b.model.clone()).collect();
     hadas_bench::svg::write_svg(
-        &bench_env!().results_dir(),
+        &env.results_dir(),
         "fig1_accuracy",
         &hadas_bench::svg::grouped_bars(
             "Fig. 1 — accuracy per stage",
@@ -151,9 +164,9 @@ fn main() -> Result<(), Box<dyn Error>> {
                 ("Dyn", bars.iter().map(|b| b.dyn_fitness.accuracy_pct).collect()),
             ],
         ),
-    );
+    )?;
     hadas_bench::svg::write_svg(
-        &bench_env!().results_dir(),
+        &env.results_dir(),
         "fig1_energy",
         &hadas_bench::svg::grouped_bars(
             "Fig. 1 — energy per stage",
@@ -165,7 +178,7 @@ fn main() -> Result<(), Box<dyn Error>> {
                 ("Dyn w/HW", bars.iter().map(|b| b.dyn_hw_fitness.energy_mj).collect()),
             ],
         ),
-    );
-    bench_env!().write_json("fig1_motivation", &bars);
+    )?;
+    env.write_bench("fig1_motivation", cfg.seed, &bars)?;
     Ok(())
 }

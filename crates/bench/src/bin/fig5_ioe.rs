@@ -3,10 +3,10 @@
 //! `N_i` — for HADAS and the optimized AttentiveNAS baselines, on all four
 //! hardware settings.
 
-use hadas::report::{Fig5Panel, ScatterPoint};
 use hadas::Hadas;
-use hadas_bench::{all_targets, bench_env, optimized_baselines};
+use hadas_bench::{bench_env, optimized_baselines, Fig5Panel, ScatterPoint};
 use hadas_evo::{fast_non_dominated_sort, ratio_of_dominance};
+use hadas_hw::HwTarget;
 
 fn to_points(axes: &[Vec<f64>]) -> Vec<ScatterPoint> {
     let fronts = fast_non_dominated_sort(axes);
@@ -18,10 +18,11 @@ fn to_points(axes: &[Vec<f64>]) -> Vec<ScatterPoint> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = bench_env!().scaled_config();
+    let env = bench_env!();
+    let cfg = env.scale().config();
     let mut panels = Vec::new();
     let mut rod_sum = 0.0;
-    for target in all_targets() {
+    for target in HwTarget::ALL {
         let hadas = Hadas::for_target(target);
 
         // HADAS side: joint run, collect every IOE point of every promoted
@@ -36,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Baseline side: the same IOE budget spent on a0..a6.
         let mut baseline_axes: Vec<Vec<f64>> = Vec::new();
-        for (_, ioe) in optimized_baselines(&hadas, &cfg) {
+        for (_, ioe) in optimized_baselines(&hadas, &cfg)? {
             baseline_axes.extend(ioe.history_axes());
         }
 
@@ -82,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for panel in &panels {
         let slug = panel.hardware.to_lowercase().replace([' ', '.'], "_");
         hadas_bench::svg::write_svg(
-            &bench_env!().results_dir(),
+            &env.results_dir(),
             &format!("fig5_ioe_{slug}"),
             &hadas_bench::svg::scatter_panel(
                 &format!("Fig. 5 (bottom) — {}", panel.hardware),
@@ -91,8 +92,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &panel.hadas,
                 &panel.baselines,
             ),
-        );
+        )?;
     }
-    bench_env!().write_json("fig5_ioe", &panels);
+    env.write_bench("fig5_ioe", cfg.seed, &panels)?;
     Ok(())
 }

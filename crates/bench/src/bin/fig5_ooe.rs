@@ -2,15 +2,16 @@
 //! explored backbones and static Pareto fronts against the AttentiveNAS
 //! baselines a0..a6, on all four hardware settings.
 
-use hadas::report::{Fig5Panel, ScatterPoint};
 use hadas::Hadas;
-use hadas_bench::{all_targets, baseline_subnets, bench_env};
+use hadas_bench::{baseline_subnets, bench_env, Fig5Panel, ScatterPoint};
 use hadas_evo::dominates;
+use hadas_hw::HwTarget;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = bench_env!().scaled_config();
+    let env = bench_env!();
+    let cfg = env.scale().config();
     let mut panels = Vec::new();
-    for target in all_targets() {
+    for target in HwTarget::ALL {
         let hadas = Hadas::for_target(target);
         let outcome = hadas.run(&cfg)?;
         let axes = outcome.static_axes();
@@ -30,9 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("explored {} backbones; Pareto front of {} points", axes.len(), front.len());
         let mut baseline_points = Vec::new();
         let mut dominated = 0usize;
-        for (name, subnet) in baseline_subnets(&hadas) {
+        for (name, subnet) in baseline_subnets(&hadas)? {
             let device = hadas.device();
-            let cost = device.subnet_cost(&subnet, &device.default_dvfs()).expect("valid");
+            let cost = device.subnet_cost(&subnet, &device.default_dvfs())?;
             let acc = hadas.accuracy().backbone_accuracy(&subnet);
             let p = vec![acc, -cost.energy_mj()];
             let dominators: Vec<&Vec<f64>> = front.iter().filter(|f| dominates(f, &p)).collect();
@@ -71,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for panel in &panels {
         let slug = panel.hardware.to_lowercase().replace([' ', '.'], "_");
         hadas_bench::svg::write_svg(
-            &bench_env!().results_dir(),
+            &env.results_dir(),
             &format!("fig5_ooe_{slug}"),
             &hadas_bench::svg::scatter_panel(
                 &format!("Fig. 5 (top) — {}", panel.hardware),
@@ -80,8 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &panel.hadas,
                 &panel.baselines,
             ),
-        );
+        )?;
     }
-    bench_env!().write_json("fig5_ooe", &panels);
+    env.write_bench("fig5_ooe", cfg.seed, &panels)?;
     Ok(())
 }

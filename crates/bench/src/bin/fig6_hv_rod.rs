@@ -2,10 +2,10 @@
 //! HADAS inner-search fronts against the optimized baselines, per hardware
 //! setting.
 
-use hadas::report::Fig6Bar;
 use hadas::Hadas;
-use hadas_bench::{all_targets, bench_env, optimized_baselines};
+use hadas_bench::{bench_env, optimized_baselines, Fig6Bar};
 use hadas_evo::{fast_non_dominated_sort, hypervolume_2d, ratio_of_dominance};
+use hadas_hw::HwTarget;
 
 fn front(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
     if axes.is_empty() {
@@ -16,7 +16,8 @@ fn front(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = bench_env!().scaled_config();
+    let env = bench_env!();
+    let cfg = env.scale().config();
     // Reference point for (energy gain, mean N_i): slightly below the
     // worst useful values so every sane solution contributes volume.
     let reference = [-0.5f64, 0.0];
@@ -27,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Hardware", "HV HADAS", "HV baseline", "RoD HADAS", "RoD baseline"
     );
     println!("{}", "-".repeat(76));
-    for target in all_targets() {
+    for target in HwTarget::ALL {
         let hadas = Hadas::for_target(target);
         let outcome = hadas.run(&cfg)?;
         let mut hadas_axes: Vec<Vec<f64>> = Vec::new();
@@ -37,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         let mut baseline_axes: Vec<Vec<f64>> = Vec::new();
-        for (_, ioe) in optimized_baselines(&hadas, &cfg) {
+        for (_, ioe) in optimized_baselines(&hadas, &cfg)? {
             baseline_axes.extend(ioe.history_axes());
         }
         let hf = front(&hadas_axes);
@@ -72,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let labels: Vec<String> = bars.iter().map(|b| b.hardware.clone()).collect();
     hadas_bench::svg::write_svg(
-        &bench_env!().results_dir(),
+        &env.results_dir(),
         "fig6_hv",
         &hadas_bench::svg::grouped_bars(
             "Fig. 6a — hypervolume",
@@ -83,9 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ("baselines", bars.iter().map(|b| b.baseline_hv * 100.0).collect()),
             ],
         ),
-    );
+    )?;
     hadas_bench::svg::write_svg(
-        &bench_env!().results_dir(),
+        &env.results_dir(),
         "fig6_rod",
         &hadas_bench::svg::grouped_bars(
             "Fig. 6b — ratio of dominance",
@@ -96,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ("baselines", bars.iter().map(|b| b.baseline_rod * 100.0).collect()),
             ],
         ),
-    );
-    bench_env!().write_json("fig6_hv_rod", &bars);
+    )?;
+    env.write_bench("fig6_hv_rod", cfg.seed, &bars)?;
     Ok(())
 }

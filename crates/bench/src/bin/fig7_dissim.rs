@@ -25,7 +25,8 @@ fn front_of(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
-    let base_cfg = bench_env!().scaled_config();
+    let env = bench_env!();
+    let base_cfg = env.scale().config();
     // One fixed backbone, as in the paper's ablation.
     let subnet = hadas.space().decode(&hadas_space::baselines::baseline_genome(3))?;
 
@@ -79,6 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         best_with * 100.0,
         without.best_gain * 100.0
     );
-    bench_env!().write_json("fig7_dissim", &runs);
+    env.write_bench("fig7_dissim", base_cfg.seed, &runs)?;
     Ok(())
 }

@@ -10,6 +10,7 @@
 //! Writes `results/BENCH_fleet.json`; the CI bench step uploads it.
 
 use hadas::executor::ExecTelemetry;
+use hadas::Scale;
 use hadas_bench::bench_env;
 use hadas_fleet::{build_planes, parse_device_spec, FleetConfig, FleetEngine, FleetReport};
 use hadas_hw::HwTarget;
@@ -73,12 +74,12 @@ impl FleetRow {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = bench_env!();
-    let cfg = env.scaled_config().with_seed(SEED);
+    let cfg = env.scale().config().with_seed(SEED);
     // 10⁵ simulated users at the quick tier, 10⁶ at the paper tier.
-    let (users, rps) = match env.scale_name() {
-        "paper" => (1_000_000usize, 40_000.0),
-        "mid" => (300_000usize, 12_000.0),
-        _ => (100_000usize, 4_000.0),
+    let (users, rps) = match env.scale() {
+        Scale::Paper => (1_000_000usize, 40_000.0),
+        Scale::Mid => (300_000usize, 12_000.0),
+        Scale::Quick => (100_000usize, 4_000.0),
     };
     let planes = build_planes(&HwTarget::ALL, &cfg)?;
     println!(

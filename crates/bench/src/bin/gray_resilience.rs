@@ -10,6 +10,7 @@
 //!
 //! Writes `results/BENCH_gray.json`; the CI bench step uploads it.
 
+use hadas::Scale;
 use hadas_bench::bench_env;
 use hadas_fleet::{
     build_planes, parse_device_spec, DetectionConfig, FleetConfig, FleetEngine, FleetReport,
@@ -76,11 +77,11 @@ fn slo_failed(r: &FleetReport) -> usize {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = bench_env!();
-    let cfg = env.scaled_config().with_seed(SEED);
-    let (users, rps, devices) = match env.scale_name() {
-        "paper" => (200_000usize, 8_000.0, 32usize),
-        "mid" => (60_000usize, 2_400.0, 24usize),
-        _ => (10_000usize, 400.0, 16usize),
+    let cfg = env.scale().config().with_seed(SEED);
+    let (users, rps, devices) = match env.scale() {
+        Scale::Paper => (200_000usize, 8_000.0, 32usize),
+        Scale::Mid => (60_000usize, 2_400.0, 24usize),
+        Scale::Quick => (10_000usize, 400.0, 16usize),
     };
     let planes = build_planes(&hadas_hw::HwTarget::ALL, &cfg)?;
     println!(

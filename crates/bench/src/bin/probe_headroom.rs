@@ -3,7 +3,7 @@
 //! backbone, comparing against what the IOE finds. Used to keep the
 //! simulator and the search honest while calibrating Table III.
 
-use hadas::{DynamicModel, Hadas};
+use hadas::{DynamicModel, Hadas, HadasConfig};
 use hadas_bench::bench_env;
 use hadas_exits::ExitPlacement;
 use hadas_hw::{DvfsSetting, HwTarget};
@@ -13,10 +13,14 @@ fn evenly_spaced(n_layers: usize, count: usize) -> Vec<usize> {
     (1..=count).map(|k| 5 + (n_layers - 5) * k / count).collect()
 }
 
-fn probe(hadas: &Hadas, name: &str, subnet: &Subnet) -> Result<(), Box<dyn std::error::Error>> {
+fn probe(
+    hadas: &Hadas,
+    cfg: &HadasConfig,
+    name: &str,
+    subnet: &Subnet,
+) -> Result<(), Box<dyn std::error::Error>> {
     let device = hadas.device();
     let acc = hadas.accuracy();
-    let cfg = bench_env!().scaled_config();
     let e_b = device.subnet_cost(subnet, &device.default_dvfs())?.energy_mj();
     let n = subnet.num_mbconv_layers();
     println!(
@@ -53,7 +57,7 @@ fn probe(hadas: &Hadas, name: &str, subnet: &Subnet) -> Result<(), Box<dyn std::
             e.exit_fractions.iter().map(|v| (v * 100.0).round() / 100.0).collect::<Vec<_>>()
         );
     }
-    let ioe = hadas.run_ioe(subnet, &cfg, 99)?;
+    let ioe = hadas.run_ioe(subnet, cfg, 99)?;
     let b = ioe.best_energy().ok_or("IOE returned an empty Pareto front")?;
     println!(
         "  IOE best: EEx_DVFS {:.1} mJ (cut {:.0}%), {} exits, dvfs {:?}, dyn acc {:.2}",
@@ -68,9 +72,10 @@ fn probe(hadas: &Hadas, name: &str, subnet: &Subnet) -> Result<(), Box<dyn std::
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
+    let cfg = bench_env!().scale().config();
     let nets = baselines::attentive_nas_baselines(hadas.space())?;
-    probe(&hadas, "a0", &nets[0].1)?;
-    probe(&hadas, "a6", &nets[6].1)?;
+    probe(&hadas, &cfg, "a0", &nets[0].1)?;
+    probe(&hadas, &cfg, "a6", &nets[6].1)?;
     // Maximally exit-friendly mid-size backbone: front-loaded depth, 5x5
     // early kernels, rich early expansion, shallow late stages.
     let friendly = hadas.space().decode(&Genome::from_genes(vec![
@@ -78,6 +83,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         /*s4*/ 0, 1, 1, 2, /*s5*/ 0, 1, 0, 1, /*s6*/ 0, 1, 0, 0, /*s7*/ 0, 0,
         0, 0,
     ]))?;
-    probe(&hadas, "friendly", &friendly)?;
+    probe(&hadas, &cfg, "friendly", &friendly)?;
     Ok(())
 }

@@ -74,7 +74,7 @@ fn front_json(out: &OoeOutcome) -> Result<String, serde_json::Error> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = bench_env!().scaled_config().with_seed(7);
+    let cfg = bench_env!().scale().config().with_seed(7);
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
     // Six attempts make a dead letter under worker chaos a ~1e-6 event;
     // pinned on every run so only lanes/chaos vary across rows.

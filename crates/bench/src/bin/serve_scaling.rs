@@ -78,7 +78,7 @@ impl ServeRow {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = bench_env!().scaled_config().with_seed(7);
+    let cfg = bench_env!().scale().config().with_seed(7);
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
     let outcome = hadas.run(&cfg)?;
     let modes = modes_from_pareto(&hadas, &outcome, 3)?;

@@ -2,7 +2,7 @@
 //! the three HADAS subspaces (B, X, F), asserting they match the paper.
 
 use hadas::Hadas;
-use hadas_bench::{all_targets, bench_env};
+use hadas_bench::bench_env;
 use hadas_exits::ExitPlacement;
 use hadas_hw::{DeviceModel, HwTarget};
 use hadas_space::SearchSpace;
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("DVFS search space (F)");
-    for target in all_targets() {
+    for target in HwTarget::ALL {
         let dev = DeviceModel::for_target(target);
         let unit = match target {
             HwTarget::AgxVoltaGpu | HwTarget::Tx2PascalGpu => "GPU",
@@ -120,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(DeviceModel::for_target(HwTarget::Tx2DenverCpu).ladder().compute_steps(), 12);
 
     let _ = Hadas::for_target(HwTarget::Tx2PascalGpu); // framework assembles
-    bench_env!().write_json("table2_spaces", &rows);
+    bench_env!().write_bench("table2_spaces", 0, &rows)?;
     println!("\nall Table II cardinalities match the paper");
     Ok(())
 }

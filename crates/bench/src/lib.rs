@@ -1,45 +1,100 @@
 //! # hadas-bench
 //!
 //! The experiment harness of the HADAS reproduction: one binary per table
-//! and figure of the paper (see `src/bin/`), plus Criterion micro- and
-//! end-to-end benches (`benches/`).
+//! and figure of the paper, plus the serve/fleet scaling studies (see
+//! `src/bin/`). Wall-clock timing lives in `perfbench/`, not here.
 //!
 //! Every binary
 //!
 //! 1. runs at a *scaled* budget by default so the whole suite finishes in
-//!    minutes — set `HADAS_SCALE=paper` for the paper's 450/3500-iteration
-//!    budgets,
+//!    minutes — set `HADAS_SCALE=mid|paper` to pick another
+//!    [`hadas::Scale`] preset (`paper` is the 450/3500-iteration budget),
 //! 2. prints the table/series to stdout in the paper's layout, and
-//! 3. writes a JSON record under `results/` for external re-plotting.
+//! 3. writes one `hadas-bench/1` record ([`BenchRecord`], via
+//!    [`BenchEnv::write_bench`]) under `results/` for external
+//!    re-plotting; figure binaries also write SVGs next to it.
 
 pub mod svg;
 
-use hadas::{Hadas, HadasConfig, IoeOutcome};
-use hadas_hw::HwTarget;
+use hadas::{Hadas, HadasConfig, HadasError, IoeOutcome, Scale};
 use hadas_space::{baselines, Subnet};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
-/// Schema tag stamped on every `results/BENCH_*.json` record (see
+/// Schema tag stamped on every `results/*.json` record (see
 /// [`BenchEnv::write_bench`]). Bump when the header shape changes.
 pub const BENCH_SCHEMA: &str = "hadas-bench/1";
 
-/// The shared header every `BENCH_*` record carries, so rows from
-/// `BENCH_serve` / `BENCH_search` / `BENCH_fleet` runs are mergeable:
-/// a consumer can join on `(schema, bench, scale, seed)` without
-/// guessing which harness settings produced a file.
+/// The shared header every bench record carries, so rows from any
+/// binary are mergeable: a consumer can join on `(schema, bench, scale,
+/// seed)` without guessing which harness settings produced a file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRecord<T> {
     /// The header schema tag ([`BENCH_SCHEMA`]).
     pub schema: String,
-    /// Bench name (the `BENCH_*` file stem).
+    /// Bench name (the record's file stem).
     pub bench: String,
-    /// The `HADAS_SCALE` tier the run resolved to.
+    /// The `HADAS_SCALE` preset the run resolved to ([`Scale::name`]).
     pub scale: String,
     /// The bench's base seed echo.
     pub seed: u64,
     /// The payload rows.
     pub rows: T,
+}
+
+/// One scatter point of Fig. 5 (top or bottom).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ScatterPoint {
+    /// X coordinate (energy mJ for the top row, energy gain for the bottom).
+    pub x: f64,
+    /// Y coordinate (accuracy % for the top row, mean `N_i` for the bottom).
+    pub y: f64,
+    /// Whether the point lies on its run's Pareto front.
+    pub pareto: bool,
+}
+
+/// One hardware setting's worth of Fig. 5 data.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Fig5Panel {
+    /// Hardware setting name.
+    pub hardware: String,
+    /// Explored points by HADAS.
+    pub hadas: Vec<ScatterPoint>,
+    /// Baseline points (a0..a6 for the top row; optimized-baseline IOE
+    /// points for the bottom row).
+    pub baselines: Vec<ScatterPoint>,
+}
+
+/// One bar pair of Fig. 6.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Fig6Bar {
+    /// Hardware setting name.
+    pub hardware: String,
+    /// Hypervolume of the HADAS front.
+    pub hadas_hv: f64,
+    /// Hypervolume of the optimized-baseline front.
+    pub baseline_hv: f64,
+    /// Fraction of HADAS solutions dominating a baseline solution.
+    pub hadas_rod: f64,
+    /// Fraction of baseline solutions dominating a HADAS solution.
+    pub baseline_rod: f64,
+}
+
+/// One row of Table III.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Table3Row {
+    /// Model name (`AttentiveNAS_a0`, `HADAS_b1`, ...).
+    pub model: String,
+    /// Static accuracy (%).
+    pub baseline_acc: f64,
+    /// Early-exit (ideal mapping) accuracy (%).
+    pub eex_acc: f64,
+    /// Static energy at default clocks (mJ).
+    pub baseline_energy_mj: f64,
+    /// Dynamic energy with early exits at default clocks (mJ).
+    pub eex_energy_mj: f64,
+    /// Dynamic energy with early exits and optimised DVFS (mJ).
+    pub eex_dvfs_energy_mj: f64,
 }
 
 /// Ambient inputs for a bench binary, read once at the `main` boundary.
@@ -51,45 +106,22 @@ pub struct BenchRecord<T> {
 /// this struct.
 #[derive(Debug, Clone, Default)]
 pub struct BenchEnv {
-    scale: Option<String>,
+    scale: Scale,
     results_override: Option<PathBuf>,
 }
 
 impl BenchEnv {
-    /// Packs ambient values read by the caller: the `HADAS_SCALE` tier
-    /// (`quick` default | `mid` | `paper`) and an optional
-    /// `HADAS_RESULTS_DIR` override.
+    /// Packs ambient values read by the caller: the `HADAS_SCALE` preset
+    /// name (`mid` | `paper`; unset or anything else is `quick`) and an
+    /// optional `HADAS_RESULTS_DIR` override.
     pub fn new(scale: Option<String>, results_override: Option<PathBuf>) -> BenchEnv {
+        let scale = scale.as_deref().and_then(Scale::parse).unwrap_or_default();
         BenchEnv { scale, results_override }
     }
 
-    /// The experiment configuration for the selected scale tier.
-    pub fn scaled_config(&self) -> HadasConfig {
-        match self.scale.as_deref() {
-            Some("paper") => HadasConfig::paper(),
-            Some("mid") => {
-                let mut cfg = HadasConfig::paper();
-                cfg.ooe = hadas::EngineBudget::new(16, 128);
-                cfg.ioe = hadas::EngineBudget::new(24, 240);
-                cfg
-            }
-            _ => {
-                let mut cfg = HadasConfig::paper();
-                cfg.ooe = hadas::EngineBudget::new(12, 60);
-                cfg.ioe = hadas::EngineBudget::new(16, 96);
-                cfg
-            }
-        }
-    }
-
-    /// The scale tier this environment resolves to (`quick` | `mid` |
-    /// `paper`) — the normalized echo stamped into bench headers.
-    pub fn scale_name(&self) -> &'static str {
-        match self.scale.as_deref() {
-            Some("paper") => "paper",
-            Some("mid") => "mid",
-            _ => "quick",
-        }
+    /// The budget preset this environment resolved to.
+    pub fn scale(&self) -> Scale {
+        self.scale
     }
 
     /// The directory experiment JSON lands in (`results/` at the
@@ -99,32 +131,14 @@ impl BenchEnv {
         self.results_override.clone().unwrap_or_else(|| PathBuf::from("results"))
     }
 
-    /// Writes an experiment record as pretty JSON under
-    /// [`BenchEnv::results_dir`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O or serialisation failure — the harness should fail
-    /// loudly rather than silently drop results.
-    pub fn write_json<T: Serialize>(&self, name: &str, data: &T) {
-        let record = hadas::report::Experiment::new(name, data);
-        let dir = self.results_dir();
-        std::fs::create_dir_all(&dir).expect("create results directory");
-        let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, record.to_json().expect("serialise experiment"))
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        println!("[results] wrote {}", path.display());
-    }
-
-    /// Writes a `BENCH_*` record under [`BenchEnv::results_dir`] with
-    /// the shared schema header ([`BenchRecord`]): `schema`, the bench
-    /// name, the resolved scale tier, and the base seed.
+    /// Writes `<name>.json` under [`BenchEnv::results_dir`] as a
+    /// [`BenchRecord`]: the schema tag, the bench name, the resolved
+    /// preset name, the base seed, and the rows.
     ///
     /// # Errors
     ///
     /// Returns I/O or serialisation failures for the caller's `main` to
-    /// surface — the scaling benches fail loudly instead of dropping
-    /// results.
+    /// surface — the harness fails loudly instead of dropping results.
     pub fn write_bench<T: Serialize>(
         &self,
         name: &str,
@@ -134,7 +148,7 @@ impl BenchEnv {
         let record = BenchRecord {
             schema: BENCH_SCHEMA.to_string(),
             bench: name.to_string(),
-            scale: self.scale_name().to_string(),
+            scale: self.scale.name().to_string(),
             seed,
             rows,
         };
@@ -162,21 +176,29 @@ macro_rules! bench_env {
 }
 
 /// Decodes the seven AttentiveNAS baselines against the standard space.
-pub fn baseline_subnets(hadas: &Hadas) -> Vec<(String, Subnet)> {
-    baselines::attentive_nas_baselines(hadas.space()).expect("baselines decode in their space")
+///
+/// # Errors
+///
+/// Returns the space error if a baseline genome does not decode.
+pub fn baseline_subnets(hadas: &Hadas) -> Result<Vec<(String, Subnet)>, HadasError> {
+    Ok(baselines::attentive_nas_baselines(hadas.space())?)
 }
 
 /// Runs the inner engine on each AttentiveNAS baseline with the same
 /// budget HADAS's own backbones get — the paper's "optimized baselines".
-pub fn optimized_baselines(hadas: &Hadas, config: &HadasConfig) -> Vec<(String, IoeOutcome)> {
-    baseline_subnets(hadas)
+///
+/// # Errors
+///
+/// Returns decoding or inner-engine errors.
+pub fn optimized_baselines(
+    hadas: &Hadas,
+    config: &HadasConfig,
+) -> Result<Vec<(String, IoeOutcome)>, HadasError> {
+    baseline_subnets(hadas)?
         .into_iter()
         .enumerate()
         .map(|(i, (name, subnet))| {
-            let outcome = hadas
-                .run_ioe(&subnet, config, config.seed ^ (0xBA5E + i as u64))
-                .expect("baseline IOE runs are valid");
-            (name, outcome)
+            Ok((name, hadas.run_ioe(&subnet, config, config.seed ^ (0xBA5E + i as u64))?))
         })
         .collect()
 }
@@ -209,37 +231,61 @@ pub fn rule(width: usize) -> String {
     "-".repeat(width)
 }
 
-/// All four hardware targets in paper order.
-pub fn all_targets() -> [HwTarget; 4] {
-    HwTarget::ALL
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hadas_hw::HwTarget;
 
     #[test]
-    fn quick_scale_is_small() {
-        let cfg = BenchEnv::default().scaled_config();
-        assert!(cfg.ooe.iterations <= 100);
-        assert!(cfg.ioe.iterations <= 200);
-        assert!(cfg.validate().is_ok());
+    fn scale_env_maps_through_the_preset_table() {
+        let scale = |v: Option<&str>| BenchEnv::new(v.map(String::from), None).scale();
+        assert_eq!(BenchEnv::default().scale(), Scale::Quick);
+        assert_eq!(scale(None), Scale::Quick);
+        assert_eq!(scale(Some("quick")), Scale::Quick);
+        assert_eq!(scale(Some("mid")), Scale::Mid);
+        assert_eq!(scale(Some("paper")), Scale::Paper);
+        for unknown in ["", "huge", "Paper", " mid"] {
+            assert_eq!(scale(Some(unknown)), Scale::Quick, "{unknown:?}");
+        }
     }
 
     #[test]
-    fn scale_tiers_and_results_override_are_pure() {
-        let paper = BenchEnv::new(Some("paper".into()), None).scaled_config();
-        assert!(paper.ooe.iterations > BenchEnv::default().scaled_config().ooe.iterations);
+    fn results_override_is_pure() {
         let env = BenchEnv::new(None, Some(PathBuf::from("elsewhere")));
         assert_eq!(env.results_dir(), PathBuf::from("elsewhere"));
         assert_eq!(BenchEnv::default().results_dir(), PathBuf::from("results"));
     }
 
     #[test]
+    fn write_bench_stamps_the_header_with_the_preset_name() {
+        let dir = std::env::temp_dir().join(format!("hadas-bench-header-{}", std::process::id()));
+        for scale in Scale::ALL {
+            let env = BenchEnv::new(Some(scale.name().into()), Some(dir.clone()));
+            let rows = vec![ScatterPoint { x: 1.0, y: 2.0, pareto: true }];
+            let path = env.write_bench("header_probe", 42, &rows).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let back: BenchRecord<Vec<ScatterPoint>> = serde_json::from_str(&text).unwrap();
+            assert_eq!(back.schema, BENCH_SCHEMA);
+            assert_eq!(back.bench, "header_probe");
+            assert_eq!(back.scale, scale.name());
+            assert_eq!(back.seed, 42);
+            assert_eq!(back.rows, rows);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scatter_points_serialize_compactly() {
+        let p = ScatterPoint { x: 1.0, y: 2.0, pareto: true };
+        let json = serde_json::to_string(&p).unwrap();
+        assert!(json.contains("\"pareto\":true"));
+    }
+
+    #[test]
     fn baselines_available_for_every_target() {
-        for t in all_targets() {
+        for t in HwTarget::ALL {
             let hadas = Hadas::for_target(t);
-            assert_eq!(baseline_subnets(&hadas).len(), 7);
+            assert_eq!(baseline_subnets(&hadas).unwrap().len(), 7);
         }
     }
 }

@@ -5,7 +5,7 @@
 //! two series and highlighted Pareto points (Fig. 5), and grouped bar
 //! charts (Fig. 1, Fig. 6).
 
-use hadas::report::ScatterPoint;
+use crate::ScatterPoint;
 use std::fmt::Write as _;
 
 const W: f64 = 420.0;
@@ -201,14 +201,15 @@ pub fn grouped_bars(
 /// Writes an SVG next to the JSON records under `dir` (usually
 /// [`crate::BenchEnv::results_dir`]).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on I/O failure, like [`crate::BenchEnv::write_json`].
-pub fn write_svg(dir: &std::path::Path, name: &str, svg: &str) {
-    std::fs::create_dir_all(dir).expect("create results directory");
+/// Returns I/O failures, like [`crate::BenchEnv::write_bench`].
+pub fn write_svg(dir: &std::path::Path, name: &str, svg: &str) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.svg"));
-    std::fs::write(&path, svg).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    std::fs::write(&path, svg)?;
     println!("[results] wrote {}", path.display());
+    Ok(())
 }
 
 #[cfg(test)]

@@ -3,44 +3,13 @@
 //! Parsing, defaults, the allowed-flag check and the help text are all
 //! generated from that table.
 
-use hadas::{EngineBudget, HadasConfig};
+use hadas::Scale;
 use hadas_hw::HwTarget;
 use hadas_runtime::{GrayFaultKind, SCENARIO_NAMES};
 use hadas_serve::GovernorKind;
 use std::error::Error;
 use std::fmt;
 use Fallback::{Absent, Required, Value};
-
-/// Search budget presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scale {
-    /// Seconds-scale budgets (default).
-    #[default]
-    Quick,
-    /// Minutes-scale budgets preserving the paper's shapes.
-    Mid,
-    /// The paper's published budgets (OOE 450 / IOE 3500 iterations).
-    Paper,
-}
-
-impl Scale {
-    /// The corresponding engine configuration.
-    pub fn config(self) -> HadasConfig {
-        let mut cfg = HadasConfig::paper();
-        match self {
-            Scale::Quick => {
-                cfg.ooe = EngineBudget::new(12, 60);
-                cfg.ioe = EngineBudget::new(16, 96);
-            }
-            Scale::Mid => {
-                cfg.ooe = EngineBudget::new(16, 128);
-                cfg.ioe = EngineBudget::new(24, 240);
-            }
-            Scale::Paper => {}
-        }
-        cfg
-    }
-}
 
 /// Errors produced while parsing the command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -312,7 +281,7 @@ const REAL: Meta = Meta::Text("F");
 const SEED: Meta = Meta::Text("SEED");
 const PATH: Meta = Meta::Text("PATH");
 const ON_OFF: Meta = Meta::OneOf(|| SWITCH.iter().map(|(name, _)| *name).collect());
-const SCALES: Meta = Meta::OneOf(|| SCALE_NAMES.iter().map(|(name, _)| *name).collect());
+const SCALES: Meta = Meta::OneOf(|| Scale::ALL.into_iter().map(Scale::name).collect());
 const TARGETS: Meta = Meta::OneOf(|| HwTarget::ALL.iter().map(HwTarget::cli_name).collect());
 const GOVERNORS: Meta = Meta::OneOf(|| GovernorKind::ALL.iter().map(GovernorKind::name).collect());
 const GRAY_KINDS: Meta = Meta::OneOf(|| {
@@ -325,8 +294,6 @@ const GRAY_KINDS: Meta = Meta::OneOf(|| {
 const SCENARIOS: Meta = Meta::OneOf(|| ["none"].into_iter().chain(SCENARIO_NAMES).collect());
 
 const SWITCH: [(&str, bool); 2] = [("on", true), ("off", false)];
-const SCALE_NAMES: [(&str, Scale); 3] =
-    [("quick", Scale::Quick), ("mid", Scale::Mid), ("paper", Scale::Paper)];
 
 const TARGET: Flag = flag("target", TARGETS, Required, "hardware target");
 const SCALE: Flag = flag("scale", SCALES, Value("quick"), "search budget preset");
@@ -601,7 +568,7 @@ impl FlagValue for bool {
 
 impl FlagValue for Scale {
     fn from_flag(s: &str) -> Result<Self, String> {
-        lookup(&SCALE_NAMES, s)
+        Scale::parse(s).ok_or_else(|| unknown(s))
     }
 }
 
@@ -1121,9 +1088,14 @@ mod tests {
     }
 
     #[test]
-    fn scale_configs_are_ordered() {
-        assert!(Scale::Quick.config().ooe.iterations < Scale::Mid.config().ooe.iterations);
-        assert!(Scale::Mid.config().ooe.iterations < Scale::Paper.config().ooe.iterations);
-        assert_eq!(Scale::Paper.config().ooe.iterations, 450);
+    fn every_scale_round_trips_through_search_scale() {
+        for scale in Scale::ALL {
+            let cmd = format!("search --target tx2-gpu --scale {}", scale.name());
+            match Command::parse(&argv(&cmd)).unwrap() {
+                Command::Search { scale: parsed, .. } => assert_eq!(parsed, scale),
+                other => panic!("{cmd}: {other:?}"),
+            }
+        }
+        assert!(Command::parse(&argv("search --target tx2-gpu --scale huge")).is_err());
     }
 }

@@ -24,5 +24,6 @@
 mod args;
 mod run;
 
-pub use args::{usage, Command, ParseCliError, Scale};
+pub use args::{usage, Command, ParseCliError};
+pub use hadas::Scale;
 pub use run::execute;

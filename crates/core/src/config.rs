@@ -117,6 +117,56 @@ impl Default for HadasConfig {
     }
 }
 
+/// Search budget presets: the one table every front end (the `hadas`
+/// CLI, the bench binaries, perfbench) resolves a scale name through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Scale {
+    /// Seconds-scale budgets (default).
+    #[default]
+    Quick,
+    /// Minutes-scale budgets preserving the paper's shapes.
+    Mid,
+    /// The paper's published budgets (OOE 450 / IOE 3500 iterations).
+    Paper,
+}
+
+impl Scale {
+    /// Every preset, smallest budget first.
+    pub const ALL: [Scale; 3] = [Scale::Quick, Scale::Mid, Scale::Paper];
+
+    /// The preset's name (`quick` | `mid` | `paper`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Mid => "mid",
+            Scale::Paper => "paper",
+        }
+    }
+
+    /// Parses a preset name (the inverse of [`Scale::name`]).
+    pub fn parse(name: &str) -> Option<Scale> {
+        Scale::ALL.into_iter().find(|s| s.name() == name)
+    }
+
+    /// The corresponding engine configuration: [`HadasConfig::paper`]
+    /// with the preset's OOE and IOE budgets.
+    pub fn config(self) -> HadasConfig {
+        let mut cfg = HadasConfig::paper();
+        match self {
+            Scale::Quick => {
+                cfg.ooe = EngineBudget::new(12, 60);
+                cfg.ioe = EngineBudget::new(16, 96);
+            }
+            Scale::Mid => {
+                cfg.ooe = EngineBudget::new(16, 128);
+                cfg.ioe = EngineBudget::new(24, 240);
+            }
+            Scale::Paper => {}
+        }
+        cfg
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,6 +197,27 @@ mod tests {
         let mut cfg = HadasConfig::smoke_test();
         cfg.gamma = f64::NAN;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn scale_presets_keep_their_budgets_and_names() {
+        let budgets: Vec<_> = Scale::ALL.iter().map(|s| (s.config().ooe, s.config().ioe)).collect();
+        assert_eq!(
+            budgets,
+            [
+                (EngineBudget::new(12, 60), EngineBudget::new(16, 96)),
+                (EngineBudget::new(16, 128), EngineBudget::new(24, 240)),
+                (EngineBudget::new(30, 450), EngineBudget::new(50, 3500)),
+            ]
+        );
+        for s in Scale::ALL {
+            assert_eq!(Scale::parse(s.name()), Some(s));
+            let cfg = s.config();
+            assert!(cfg.validate().is_ok());
+            assert_eq!(cfg, HadasConfig { ooe: cfg.ooe, ioe: cfg.ioe, ..HadasConfig::paper() });
+        }
+        assert_eq!(Scale::parse("huge"), None);
+        assert_eq!(Scale::default(), Scale::Quick);
     }
 
     #[test]

@@ -374,8 +374,12 @@ impl<'a> Ioe<'a> {
                 fitness: eval.fitness,
             })
         };
-        let history: Vec<IoeSolution> =
-            result.history().iter().map(|e| to_solution(&e.genome)).collect::<Result<_, _>>()?;
+        // Exact capacity: the OOE keeps every outcome for the whole
+        // search, so growth slack here would be held that long too.
+        let mut history = Vec::with_capacity(result.history().len());
+        for e in result.history() {
+            history.push(to_solution(&e.genome)?);
+        }
         let candidates: Vec<IoeSolution> = result
             .pareto_front()
             .iter()

@@ -52,14 +52,13 @@ mod ioe;
 mod objectives;
 mod ooe;
 pub mod related;
-pub mod report;
 mod resilience;
 
 pub use checkpoint::{
     CheckpointBackbone, CheckpointIoe, CheckpointSolution, SearchCheckpoint, CHECKPOINT_SCHEMA,
 };
 pub use clock::Deadline;
-pub use config::{EngineBudget, HadasConfig};
+pub use config::{EngineBudget, HadasConfig, Scale};
 pub use controller::{
     simulate_stream, Controller, EntropyController, ExitDecision, IdealController,
     MarginController, StreamReport,

@@ -461,15 +461,7 @@ impl<'a> Ooe<'a> {
         let mut modeled_ms = 0.0f64;
         let lanes = effective_workers(opts.workers);
 
-        let mut ioe_cache: BTreeMap<Vec<usize>, IoeOutcome> = BTreeMap::new();
         let mut state = self.initial_state(opts)?;
-        // Re-warm the IOE cache from restored history so resumed runs do
-        // not recompute inner searches they already paid for.
-        for b in &state.history {
-            if let Some(ioe) = &b.ioe {
-                ioe_cache.insert(b.subnet.genome().genes().to_vec(), ioe.clone());
-            }
-        }
 
         let mut ran_this_call = 0usize;
         let mut completed = state.generation >= generations;
@@ -575,20 +567,18 @@ impl<'a> Ooe<'a> {
             let promoted: Vec<usize> = order.iter().take(promote).map(|&k| indices[k]).collect();
 
             // Nested IOEs for promoted backbones, driven through the same
-            // supervised executor (cached across generations, and
-            // individually fault-wrapped: a backbone whose inner run
-            // keeps failing is skipped this generation, not fatal). The
-            // fold below runs in job order on this thread, so cache
-            // contents, telemetry (including the float overhead sum),
-            // and the surfaced error no longer depend on completion
-            // order.
+            // supervised executor (run once per genome: `seen` gives each
+            // genome one history entry, and its outcome is stored there,
+            // restored history included; individually fault-wrapped: a
+            // backbone whose inner run keeps failing is skipped this
+            // generation, not fatal). The fold below runs in job order on
+            // this thread, so stored outcomes, telemetry (including the
+            // float overhead sum), and the surfaced error no longer depend
+            // on completion order.
             let ioe_jobs: Vec<IoeEvalJob> = promoted
                 .iter()
                 .copied()
-                .filter(|&i| {
-                    state.history[i].ioe.is_none()
-                        && !ioe_cache.contains_key(state.history[i].subnet.genome().genes())
-                })
+                .filter(|&i| state.history[i].ioe.is_none())
                 .map(|i| {
                     let subnet = state.history[i].subnet.clone();
                     let seed = self.genome_seed(subnet.genome());
@@ -633,7 +623,7 @@ impl<'a> Ooe<'a> {
             for (job, slot) in ioe_jobs.into_iter().zip(slots) {
                 match slot {
                     Some(Ok((Some((outcome, inner)), receipt))) => {
-                        ioe_cache.insert(job.subnet.genome().genes().to_vec(), outcome);
+                        state.history[job.history_idx].ioe = Some(outcome);
                         telemetry.absorb(&receipt, false);
                         telemetry.retried_evals += inner.retried_evals;
                         telemetry.transient_failures += inner.transient_failures;
@@ -660,12 +650,6 @@ impl<'a> Ooe<'a> {
             // Surface the error of the lowest-indexed failed backbone.
             if let Some((_, e)) = errors.into_iter().next() {
                 return Err(e);
-            }
-            for &i in &promoted {
-                if state.history[i].ioe.is_none() {
-                    state.history[i].ioe =
-                        ioe_cache.get(state.history[i].subnet.genome().genes()).cloned();
-                }
             }
 
             ran_this_call += 1;
