@@ -10,7 +10,7 @@
 
 use hadas::{Hadas, HadasConfig};
 use hadas_bench::bench_env;
-use hadas_evo::{fast_non_dominated_sort, hypervolume_2d};
+use hadas_evo::{hypervolume_2d, non_dominated};
 use hadas_hw::{CostModel, DeviceModel, HwTarget, ProxyCostModel};
 use hadas_space::SearchSpace;
 use serde::Serialize;
@@ -20,7 +20,6 @@ use std::time::Instant;
 #[derive(Debug, Serialize)]
 struct ProxyRun {
     mode: String,
-    wall_ms: u128,
     device_queries: u64,
     true_front_hv: f64,
     pareto_models: usize,
@@ -85,9 +84,7 @@ fn true_front_hv(
             )?;
         axes.push(vec![eval.fitness.energy_gain, eval.fitness.accuracy_pct / 100.0]);
     }
-    let fronts = fast_non_dominated_sort(&axes);
-    let front: Vec<Vec<f64>> =
-        fronts.first().map(|f| f.iter().map(|&i| axes[i].clone()).collect()).unwrap_or_default();
+    let front: Vec<Vec<f64>> = non_dominated(&axes).into_iter().map(|i| axes[i].clone()).collect();
     Ok(hypervolume_2d(&front, &[-0.5, 0.0]))
 }
 
@@ -137,7 +134,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         runs.push(ProxyRun {
             mode: mode.to_string(),
-            wall_ms,
             device_queries,
             true_front_hv: hv,
             pareto_models: outcome.pareto_models().len(),

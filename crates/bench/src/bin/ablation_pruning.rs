@@ -5,7 +5,7 @@
 
 use hadas::{Hadas, HadasConfig};
 use hadas_bench::bench_env;
-use hadas_evo::{fast_non_dominated_sort, hypervolume_2d};
+use hadas_evo::{hypervolume_2d, non_dominated};
 use hadas_hw::HwTarget;
 use serde::Serialize;
 
@@ -27,9 +27,7 @@ fn run(base: &HadasConfig, prune_fraction: f64) -> Result<PruningRun, hadas::Had
         .iter()
         .map(|m| vec![m.dynamic.energy_gain, m.dynamic.accuracy_pct / 100.0])
         .collect();
-    let fronts = fast_non_dominated_sort(&axes);
-    let front: Vec<Vec<f64>> =
-        fronts.first().map(|f| f.iter().map(|&i| axes[i].clone()).collect()).unwrap_or_default();
+    let front: Vec<Vec<f64>> = non_dominated(&axes).into_iter().map(|i| axes[i].clone()).collect();
     Ok(PruningRun {
         prune_fraction,
         ioe_invocations,

@@ -5,17 +5,8 @@
 
 use hadas::Hadas;
 use hadas_bench::{bench_env, optimized_baselines, Fig5Panel, ScatterPoint};
-use hadas_evo::{fast_non_dominated_sort, ratio_of_dominance};
+use hadas_evo::{non_dominated, ratio_of_dominance};
 use hadas_hw::HwTarget;
-
-fn to_points(axes: &[Vec<f64>]) -> Vec<ScatterPoint> {
-    let fronts = fast_non_dominated_sort(axes);
-    let front: Vec<usize> = fronts.first().cloned().unwrap_or_default();
-    axes.iter()
-        .enumerate()
-        .map(|(i, a)| ScatterPoint { x: a[0], y: a[1], pareto: front.contains(&i) })
-        .collect()
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = bench_env!();
@@ -41,14 +32,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             baseline_axes.extend(ioe.history_axes());
         }
 
-        let hadas_front: Vec<Vec<f64>> = {
-            let fronts = fast_non_dominated_sort(&hadas_axes);
-            fronts[0].iter().map(|&i| hadas_axes[i].clone()).collect()
+        // Each side's Pareto front, and its explored cloud with the
+        // front's members flagged.
+        let side = |axes: &[Vec<f64>]| {
+            let mut cloud: Vec<ScatterPoint> =
+                axes.iter().map(|a| ScatterPoint { x: a[0], y: a[1], pareto: false }).collect();
+            let mut front = Vec::new();
+            for i in non_dominated(axes) {
+                cloud[i].pareto = true;
+                front.push(axes[i].clone());
+            }
+            (front, cloud)
         };
-        let base_front: Vec<Vec<f64>> = {
-            let fronts = fast_non_dominated_sort(&baseline_axes);
-            fronts[0].iter().map(|&i| baseline_axes[i].clone()).collect()
-        };
+        let (hadas_front, hadas_cloud) = side(&hadas_axes);
+        let (base_front, base_cloud) = side(&baseline_axes);
         let rod = ratio_of_dominance(&hadas_front, &base_front);
         rod_sum += rod;
 
@@ -71,8 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         panels.push(Fig5Panel {
             hardware: target.name().to_string(),
-            hadas: to_points(&hadas_axes),
-            baselines: to_points(&baseline_axes),
+            hadas: hadas_cloud,
+            baselines: base_cloud,
         });
     }
     println!();

@@ -4,16 +4,8 @@
 
 use hadas::Hadas;
 use hadas_bench::{bench_env, optimized_baselines, Fig6Bar};
-use hadas_evo::{fast_non_dominated_sort, hypervolume_2d, ratio_of_dominance};
+use hadas_evo::{hypervolume_2d, non_dominated, ratio_of_dominance};
 use hadas_hw::HwTarget;
-
-fn front(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    if axes.is_empty() {
-        return Vec::new();
-    }
-    let fronts = fast_non_dominated_sort(axes);
-    fronts[0].iter().map(|&i| axes[i].clone()).collect()
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = bench_env!();
@@ -41,8 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (_, ioe) in optimized_baselines(&hadas, &cfg)? {
             baseline_axes.extend(ioe.history_axes());
         }
-        let hf = front(&hadas_axes);
-        let bf = front(&baseline_axes);
+        let hf: Vec<Vec<f64>> =
+            non_dominated(&hadas_axes).into_iter().map(|i| hadas_axes[i].clone()).collect();
+        let bf: Vec<Vec<f64>> =
+            non_dominated(&baseline_axes).into_iter().map(|i| baseline_axes[i].clone()).collect();
         let bar = Fig6Bar {
             hardware: target.name().to_string(),
             hadas_hv: hypervolume_2d(&hf, &reference),

@@ -386,11 +386,8 @@ impl<'a> Ioe<'a> {
             .map(|e| to_solution(&e.genome))
             .collect::<Result<_, _>>()?;
         let exact: Vec<Vec<f64>> = candidates.iter().map(|s| s.fitness.to_maximisation()).collect();
-        let fronts = hadas_evo::fast_non_dominated_sort(&exact);
-        let pareto: Vec<IoeSolution> = fronts
-            .first()
-            .map(|f| f.iter().map(|&i| candidates[i].clone()).collect())
-            .unwrap_or_default();
+        let pareto: Vec<IoeSolution> =
+            hadas_evo::non_dominated(&exact).into_iter().map(|i| candidates[i].clone()).collect();
         Ok(IoeOutcome { history, pareto })
     }
 }

@@ -57,6 +57,28 @@ fn dominates_unchecked(a: &[f64], b: &[f64]) -> bool {
     strictly_better
 }
 
+/// The non-dominated subset of `points`, as ascending indices: exactly
+/// front 0 of [`fast_non_dominated_sort`], for callers that need no
+/// other front.
+///
+/// One pass over the points in index order keeps an archive: a point
+/// an archived point dominates is dropped; otherwise the archived points
+/// it dominates are evicted and it is appended. Because [`dominates`]
+/// is a strict partial order (quarantine included), a dominated point
+/// always meets a dominator still in the archive, so the survivors are
+/// front 0. Identical points do not dominate each other and all stay.
+pub fn non_dominated(points: &[Vec<f64>]) -> Vec<usize> {
+    let mut archive: Vec<usize> = Vec::new();
+    for (i, p) in points.iter().enumerate() {
+        if archive.iter().any(|&a| dominates(&points[a], p)) {
+            continue;
+        }
+        archive.retain(|&a| !dominates(p, &points[a]));
+        archive.push(i);
+    }
+    archive
+}
+
 /// Deb's fast non-dominated sort: partitions point indices into fronts,
 /// front 0 being the Pareto-optimal set, front 1 the set that becomes
 /// optimal once front 0 is removed, and so on.
@@ -230,6 +252,7 @@ mod tests {
     #[test]
     fn empty_input_yields_no_fronts() {
         assert!(fast_non_dominated_sort(&[]).is_empty());
+        assert!(non_dominated(&[]).is_empty());
     }
 
     #[test]

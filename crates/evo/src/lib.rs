@@ -43,7 +43,7 @@ mod metrics;
 mod nsga2;
 mod random;
 
-pub use dominance::{crowding_distance, dominates, fast_non_dominated_sort};
+pub use dominance::{crowding_distance, dominates, fast_non_dominated_sort, non_dominated};
 pub use metrics::{hypervolume, hypervolume_2d, ratio_of_dominance};
 pub use nsga2::{Evaluated, Nsga2, Nsga2Config, Problem, SearchResult};
 pub use random::random_search;

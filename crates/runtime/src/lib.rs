@@ -40,12 +40,6 @@
 
 mod battery;
 mod faults;
-/// The supervised parallel execution plane (re-exported from `hadas`):
-/// supervision, hedging, retry-on-rotated-lane, circuit breaking, and
-/// seq-ordered deterministic reduction, shared by the serve pool and
-/// the OOE/IOE search engines. [`FaultInjector`] implements its
-/// [`executor::FateResolver`] so one chaos source scripts both planes.
-pub use hadas::executor;
 pub mod latency;
 mod modes;
 mod policy;

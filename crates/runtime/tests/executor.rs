@@ -1,13 +1,13 @@
 //! Property-based tests for the supervised parallel executor
-//! (`hadas_runtime::executor`, shared with the serve pool and the
+//! (`hadas::executor`, shared with the serve pool and the
 //! OOE/IOE search plane): for *arbitrary* job sets, fault rates, retry
 //! budgets, and worker counts, the seq-tagged reduction must equal the
 //! in-order sequential fold bit-for-bit, and the recovery choreography
 //! (respawn, re-dispatch, retry, hedge) must never duplicate or drop a
 //! sequence slot.
 
+use hadas::executor::{run_supervised, ChaosPlan, ExecTelemetry, JobSpec};
 use hadas::{CircuitBreaker, RetryPolicy};
-use hadas_runtime::executor::{run_supervised, ChaosPlan, ExecTelemetry, JobSpec};
 use hadas_runtime::{FaultConfig, FaultInjector};
 use proptest::prelude::*;
 

@@ -31,7 +31,7 @@
 //!   transient failures, and hedges stragglers — and the recovered report
 //!   stays byte-identical to the fault-free one whenever nothing
 //!   dead-letters ([`ServeEngine::run_instrumented`] exposes the healing
-//!   counters out-of-band as [`ResilienceTelemetry`]).
+//!   counters out-of-band as [`hadas::executor::ExecTelemetry`]).
 //! * [`BrownoutLadder`] — explicit overload degradation tiers
 //!   (shed bulk → force early exits → reject admissions) with hysteresis,
 //!   keeping interactive tail latency bounded under bursts instead of
@@ -79,7 +79,6 @@ pub use brownout::{
 pub use config::{GovernorKind, ServeConfig};
 pub use engine::{HealthSample, ServeEngine, ServeSession, ServeTrace, SessionState};
 pub use governor::{apply_brownout, build_governor, QueuePolicy};
-pub use pool::ResilienceTelemetry;
 pub use report::{
     accounting_balances, fingerprint64, stamp_report, verify_report, zero_fingerprint_field,
     SealedReport, ServeReport, SloSummary, TelemetryIntegrity, SERVE_REPORT_SCHEMA,

@@ -373,7 +373,7 @@ fn serve_run(
     modes: &[hadas_suite::runtime::OperatingMode],
     workers: usize,
     chaos_seed: Option<u64>,
-) -> (hadas_suite::serve::ServeReport, hadas_suite::serve::ResilienceTelemetry) {
+) -> (hadas_suite::serve::ServeReport, hadas_suite::core::executor::ExecTelemetry) {
     use hadas_suite::serve::{ServeConfig, ServeEngine};
     let config = ServeConfig {
         seed: 42,

@@ -3,7 +3,7 @@
 //! surrogate and the hardware simulator against regressions.
 
 use hadas_suite::core::{EngineBudget, Hadas, HadasConfig};
-use hadas_suite::evo::{fast_non_dominated_sort, hypervolume_2d, ratio_of_dominance};
+use hadas_suite::evo::{hypervolume_2d, non_dominated, ratio_of_dominance};
 use hadas_suite::hw::{DeviceModel, HwTarget};
 use hadas_suite::space::baselines;
 
@@ -12,14 +12,6 @@ fn mid() -> HadasConfig {
     cfg.ooe = EngineBudget::new(16, 128);
     cfg.ioe = EngineBudget::new(24, 240);
     cfg
-}
-
-fn front(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    if axes.is_empty() {
-        return Vec::new();
-    }
-    let fronts = fast_non_dominated_sort(axes);
-    fronts[0].iter().map(|&i| axes[i].clone()).collect()
 }
 
 /// Table III anchors: a0 and a6 static energies on the TX2 Pascal GPU.
@@ -79,8 +71,10 @@ fn ioe_front_beats_optimized_baselines() {
         let ioe = hadas.run_ioe(&subnet, &cfg, 1000 + i as u64).expect("IOE runs");
         base_axes.extend(ioe.history.iter().map(|s| s.fitness.to_plot_axes()));
     }
-    let hf = front(&hadas_axes);
-    let bf = front(&base_axes);
+    let hf: Vec<Vec<f64>> =
+        non_dominated(&hadas_axes).into_iter().map(|i| hadas_axes[i].clone()).collect();
+    let bf: Vec<Vec<f64>> =
+        non_dominated(&base_axes).into_iter().map(|i| base_axes[i].clone()).collect();
     let reference = [-0.5, 0.0];
     assert!(
         hypervolume_2d(&hf, &reference) > hypervolume_2d(&bf, &reference),
@@ -133,9 +127,9 @@ fn dissimilarity_regularizer_helps() {
         let without = hadas
             .run_ioe(&subnet, &cfg.clone().with_dissimilarity(false, 0.0), seed)
             .expect("runs");
-        let wf = front(&with.history.iter().map(|s| s.fitness.to_plot_axes()).collect::<Vec<_>>());
-        let of =
-            front(&without.history.iter().map(|s| s.fitness.to_plot_axes()).collect::<Vec<_>>());
+        let (wa, oa) = (with.history_axes(), without.history_axes());
+        let wf: Vec<Vec<f64>> = non_dominated(&wa).into_iter().map(|i| wa[i].clone()).collect();
+        let of: Vec<Vec<f64>> = non_dominated(&oa).into_iter().map(|i| oa[i].clone()).collect();
         rod_with += ratio_of_dominance(&wf, &of);
         rod_without += ratio_of_dominance(&of, &wf);
     }
